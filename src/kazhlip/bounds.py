@@ -20,7 +20,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,27 +29,40 @@ from mpmath import mpf
 
 from .errors import DomainError
 from .groupact import GeneratorSet, global_fixed_set
-from .koopman import koopman_distortion, window_vector
+from .koopman import WindowCut, WindowMap
 from .precision import real_str, to_real
 
 def kappa_max() -> mpf:
     return mpmath.sqrt(2)
 
 
+def _finite(name: str, value) -> mpf:
+    value = to_real(value)
+    if not mpmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
 def phi(t) -> mpf:
     """max{e^{2t}, 4(2 - t^2)^{-2}} on [0, sqrt 2)."""
-    t = to_real(t)
+    t = _finite("t", t)
     if t < 0 or t >= mpmath.sqrt(2):
         raise DomainError(f"phi is defined on [0, sqrt(2)), got {t}")
     return max(mpmath.e ** (2 * t), 4 / (2 - t * t) ** 2)
 
 
+def phi_inv_branches(t: mpf) -> Tuple[mpf, mpf]:
+    """The two branches (1/2) log t and sqrt2 (1 - t^{-1/2})^{1/2} of
+    phi_inv, for t >= 1; phi_inv is their minimum."""
+    return mpmath.log(t) / 2, mpmath.sqrt(2) * mpmath.sqrt(1 - t ** mpf("-0.5"))
+
+
 def phi_inv(t) -> mpf:
     """min{(1/2) log t, sqrt2 (1 - t^{-1/2})^{1/2}} on [1, oo)."""
-    t = to_real(t)
+    t = _finite("t", t)
     if t < 1:
         raise DomainError(f"phi_inv is defined on [1, oo), got {t}")
-    return min(mpmath.log(t) / 2, mpmath.sqrt(2) * mpmath.sqrt(1 - t ** mpf("-0.5")))
+    return min(phi_inv_branches(t))
 
 
 def phi_crossover() -> mpf:
@@ -74,8 +87,8 @@ def phi_crossover() -> mpf:
 def kappa_transfer(p, distortion) -> mpf:
     """Kazhdan upper bound (p/2) * d implied by one unit test vector whose
     max distortion over S is d, valid for p >= 2."""
-    p = to_real(p)
-    d = to_real(distortion)
+    p = _finite("p", p)
+    d = _finite("distortion", distortion)
     if p < 2:
         raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
     if d < 0:
@@ -136,12 +149,39 @@ class EstimateFragment:
     L: Fraction
     M: Fraction
     cells: Tuple[SweepCell, ...]
-    empirical_min: mpf          # min over the sweep of kappa_upper
     analytic_bound: mpf         # n -> oo limit bound at this p
     hypothesis_ok: bool         # global fixed set empty
 
 
-def _distortion_sweep(S: GeneratorSet, p, n_schedule) -> List[Tuple[Fraction, mpf]]:
+@dataclass(frozen=True)
+class _SetData:
+    """What the estimators need of one generating set, computed once."""
+
+    per_generator: Tuple[Tuple[str, Fraction, Fraction], ...]  # (label, lip, disp)
+    L: Fraction
+    M: Fraction
+    hypothesis_ok: bool
+    windows: Tuple[WindowMap, ...]
+
+
+def _set_data(S: GeneratorSet) -> _SetData:
+    per_generator = tuple(
+        (lab, g.lip_constant(), g.displacement()) for lab, g in S.generators
+    )
+    return _SetData(
+        per_generator=per_generator,
+        L=max(lip for _, lip, _ in per_generator),
+        M=max(disp for _, _, disp in per_generator),
+        hypothesis_ok=global_fixed_set(S).is_empty,
+        windows=tuple(WindowMap.of(g) for _, g in S.generators),
+    )
+
+
+# Each schedule entry n with the cuts of its window by every generator.
+_Cuts = List[Tuple[Fraction, Tuple[WindowCut, ...]]]
+
+
+def _cut_windows(data: _SetData, n_schedule: Sequence) -> _Cuts:
     if not n_schedule:
         raise DomainError("empty n schedule")
     out = []
@@ -149,22 +189,26 @@ def _distortion_sweep(S: GeneratorSet, p, n_schedule) -> List[Tuple[Fraction, mp
         n = Fraction(n)
         if n <= 0:
             raise DomainError(f"schedule entries must be positive, got {n}")
-        xi = window_vector(n, p)
-        d = max(koopman_distortion(g, xi, p) for _, g in S.generators)
-        out.append((n, d))
+        out.append((n, tuple(w.cut(n) for w in data.windows)))
     return out
 
 
-def estimate_p2(S: GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
-    """L^2 window estimator: per-n distortions d_n, the proof's per-n
-    certified bound sqrt(2 - 2 ((n-M)/n) L^{-1/2}) for n > M, and the
-    analytic limit sqrt2 (1 - L^{-1/2})^{1/2}."""
-    L = S.max_lip()
-    M = S.max_displacement()
-    Lr = to_real(L)
-    hypothesis_ok = global_fixed_set(S).is_empty
+def _window_sweep(data: _SetData, cuts: _Cuts, p: mpf) -> List[Tuple[Fraction, mpf]]:
+    """(n, d_{p,n}) per schedule entry: the largest 2n d^p over the
+    generators, then one p-th root."""
+    profiles = [w.at(p) for w in data.windows]
+    out = []
+    for n, row in cuts:
+        top = max(pr.scaled_power(c) for pr, c in zip(profiles, row))
+        out.append((n, (top / to_real(2 * n)) ** (1 / p)))
+    return out
+
+
+def _estimate_p2(data: _SetData, cuts: _Cuts) -> EstimateFragment:
+    M = data.M
+    Lr = to_real(data.L)
     cells = []
-    for n, d in _distortion_sweep(S, 2, n_schedule):
+    for n, d in _window_sweep(data, cuts, mpf(2)):
         large = n > M
         proof = None
         if large:
@@ -172,34 +216,27 @@ def estimate_p2(S: GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
         cells.append(
             SweepCell(mpf(2), n, d, kappa_transfer(2, d), proof, large)
         )
-    analytic = mpmath.sqrt(2) * mpmath.sqrt(1 - 1 / mpmath.sqrt(Lr))
     return EstimateFragment(
         p=mpf(2),
-        L=L,
+        L=data.L,
         M=M,
         cells=tuple(cells),
-        empirical_min=min(c.kappa_upper for c in cells),
-        analytic_bound=analytic,
-        hypothesis_ok=hypothesis_ok,
+        analytic_bound=phi_inv_branches(Lr)[1],
+        hypothesis_ok=data.hypothesis_ok,
     )
 
 
-def estimate_lp(S: GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
-    """L^p window estimator for p > log L: per-n distortions transferred
-    via (p/2) d, the proof's per-n bound on d^p, and the analytic per-p
-    bound p log L / (2 (p - log L)) whose p -> oo limit is (1/2) log L."""
-    L = S.max_lip()
-    M = S.max_displacement()
-    Lr = to_real(L)
+def _estimate_lp(data: _SetData, p, cuts: _Cuts) -> EstimateFragment:
+    M = data.M
+    Lr = to_real(data.L)
     p = to_real(p)
     logL = mpmath.log(Lr)
     if p <= logL:
         raise DomainError(f"need p > log(L) = {logL}, got p={p}")
     if p < 2:
         raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
-    hypothesis_ok = global_fixed_set(S).is_empty
     cells = []
-    for n, d in _distortion_sweep(S, p, n_schedule):
+    for n, d in _window_sweep(data, cuts, p):
         large = n > M
         proof = None
         if large:
@@ -213,13 +250,28 @@ def estimate_lp(S: GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
     analytic = p * logL / (2 * (p - logL)) if logL > 0 else mpf(0)
     return EstimateFragment(
         p=p,
-        L=L,
+        L=data.L,
         M=M,
         cells=tuple(cells),
-        empirical_min=min(c.kappa_upper for c in cells),
         analytic_bound=analytic,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=data.hypothesis_ok,
     )
+
+
+def estimate_p2(S: GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
+    """L^2 window estimator: per-n distortions d_n, the proof's per-n
+    certified bound sqrt(2 - 2 ((n-M)/n) L^{-1/2}) for n > M, and the
+    analytic limit sqrt2 (1 - L^{-1/2})^{1/2}."""
+    data = _set_data(S)
+    return _estimate_p2(data, _cut_windows(data, n_schedule))
+
+
+def estimate_lp(S: GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
+    """L^p window estimator for p > log L: per-n distortions transferred
+    via (p/2) d, the proof's per-n bound on d^p, and the analytic per-p
+    bound p log L / (2 (p - log L)) whose p -> oo limit is (1/2) log L."""
+    data = _set_data(S)
+    return _estimate_lp(data, p, _cut_windows(data, n_schedule))
 
 
 def default_n_schedule(M: Fraction, kmax: int = 12) -> List[Fraction]:
@@ -248,7 +300,6 @@ class BoundReport:
     lemma43_bound: mpf         # (1/2) log L
     phi_inv_of_L: mpf          # min of the two
     headline: mpf              # min over sweep and analytic bounds
-    flagged_cells: Tuple[SweepCell, ...] = field(default=())
 
     def label_hash(self) -> str:
         digest = hashlib.sha256("|".join(sorted(self.labels)).encode()).hexdigest()
@@ -327,42 +378,35 @@ def bound_report(
 ) -> BoundReport:
     """Full estimator report: per-generator data, the (p, n) sweep, the
     analytic bounds, and the headline (minimum) certified upper bound."""
-    L = S.max_lip()
-    M = S.max_displacement()
+    data = _set_data(S)
     if n_schedule is None:
-        n_schedule = default_n_schedule(M)
+        n_schedule = default_n_schedule(data.M)
     if p_list is None:
-        p_list = default_p_list(L)
-    hypothesis_ok = global_fixed_set(S).is_empty
+        p_list = default_p_list(data.L)
+    cuts = _cut_windows(data, n_schedule)
 
     sweep: List[SweepCell] = []
     for p in p_list:
-        pr = to_real(p)
-        if pr == 2:
-            frag = estimate_p2(S, n_schedule)
+        if to_real(p) == 2:
+            frag = _estimate_p2(data, cuts)
         else:
-            frag = estimate_lp(S, p, n_schedule)
+            frag = _estimate_lp(data, p, cuts)
         sweep.extend(frag.cells)
 
-    Lr = to_real(L)
-    lemma41 = mpmath.sqrt(2) * mpmath.sqrt(1 - 1 / mpmath.sqrt(Lr))
-    lemma43 = mpmath.log(Lr) / 2
+    lemma43, lemma41 = phi_inv_branches(to_real(data.L))
     phi_inv_L = min(lemma41, lemma43)
     candidates = [phi_inv_L] + [c.kappa_upper for c in sweep]
     headline = min(candidates)
     return BoundReport(
         group_name=S.name,
         labels=S.labels,
-        per_generator=tuple(
-            (lab, g.lip_constant(), g.displacement()) for lab, g in S.generators
-        ),
-        L=L,
-        M=M,
-        hypothesis_ok=hypothesis_ok,
+        per_generator=data.per_generator,
+        L=data.L,
+        M=data.M,
+        hypothesis_ok=data.hypothesis_ok,
         sweep=tuple(sweep),
         lemma41_bound=lemma41,
         lemma43_bound=lemma43,
         phi_inv_of_L=phi_inv_L,
         headline=headline,
-        flagged_cells=tuple(c for c in sweep if not c.n_large_enough),
     )

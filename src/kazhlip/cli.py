@@ -8,10 +8,14 @@ as certified bounds fails, e.g. a global fixed point exists).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from mpmath import mpf
 
 from . import bounds, figures, limits, verify
 from .errors import DomainError, HypothesisFlag, ResourceLimitError, SchemaError
@@ -70,8 +74,18 @@ def cmd_phi_inv(args) -> int:
     return EXIT_OK
 
 
+def _parse_grid(text: str):
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise SchemaError(f"expected start:end:step, got {text!r}", "--grid")
+    try:
+        return [mpf(tok.strip()) for tok in fields]
+    except ValueError as exc:
+        raise SchemaError(f"invalid number in {text!r}", "--grid") from exc
+
+
 def cmd_phi_table(args) -> int:
-    start, end, step = (tok.strip() for tok in args.grid.split(":"))
+    start, end, step = _parse_grid(args.grid)
     if args.which == "phi-branches":
         table = figures.phi_branch_table(start, end, step)
     else:
@@ -171,11 +185,8 @@ def cmd_limit_diag(args) -> int:
     base = parse_rational(args.base, "base")
     diag = limits.limit_translation_diagnostic(seq, words, base, cauchy_tol=args.tol)
     if args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["stage", "word", "value", "defect_vs_estimate"])
         est = dict(diag.estimates)
         for rec in diag.stages:

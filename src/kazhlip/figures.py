@@ -15,7 +15,7 @@ from typing import List, Tuple
 import mpmath
 from mpmath import mpf
 
-from .bounds import phi_crossover
+from .bounds import phi_crossover, phi_inv_branches
 from .errors import DomainError
 from .precision import real_str, to_real
 
@@ -42,6 +42,8 @@ class BranchTable:
 
 def _grid(start, end, step) -> List[mpf]:
     start, end, step = to_real(start), to_real(end), to_real(step)
+    if not all(mpmath.isfinite(v) for v in (start, end, step)):
+        raise DomainError(f"grid values must be finite, got {start}:{end}:{step}")
     if step <= 0:
         raise DomainError(f"grid step must be positive, got {step}")
     if end < start:
@@ -83,8 +85,7 @@ def phi_inv_branch_table(start=1, end=23, step="0.1") -> BranchTable:
         raise DomainError("phi_inv grid must stay inside [1, oo)")
     rows = []
     for t in grid:
-        b1 = mpmath.log(t) / 2
-        b2 = mpmath.sqrt(2) * mpmath.sqrt(1 - t ** mpf("-0.5"))
+        b1, b2 = phi_inv_branches(t)
         rows.append((t, b1, b2, min(b1, b2)))
     tstar = phi_crossover()
     return BranchTable(

@@ -12,13 +12,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 
-def _le(a: Optional[Fraction], b: Optional[Fraction], *, left_a=False, left_b=False) -> bool:
-    # None means -inf when it is a left endpoint, +inf when a right endpoint.
-    av = float("-inf") if (a is None and left_a) else (float("inf") if a is None else a)
-    bv = float("-inf") if (b is None and left_b) else (float("inf") if b is None else b)
-    return av <= bv
-
-
 @dataclass(frozen=True)
 class IntervalUnion:
     """Sorted, disjoint, non-adjacent closed intervals."""

@@ -186,6 +186,145 @@ def window_vector(n, p) -> StepFunction:
     return StepFunction((-n, n), (value,))
 
 
+# ---------------------------------------------------------------------------
+# Window distortions in closed form
+#
+# Let g have nodes (x_0, y_0), ..., (x_k, y_k). On g[-n, n] = [A, B] the
+# vector pi(g) xi_n is (2n)^{-1/p} (g^{-1})'^{1/p}, and g^{-1} has the
+# constant slope s_j = (x_{j+1} - x_j) / (y_{j+1} - y_j) on [y_j, y_{j+1}]
+# and slope 1 elsewhere. With O = [max(A, -n), min(B, n)], empty when
+# A >= n or B <= -n, integrating piece by piece gives
+#
+#     2n ||pi(g) xi_n - xi_n||_p^p
+#         = 4n - |O| - |g^{-1}(O)| + sum_j w_j |[y_j, y_{j+1}] cap O|,
+#
+# where w_j = |s_j^{1/p} - 1|^p. Once n >= N0 = max_i max(|x_i|, |y_i|),
+# O holds every [y_j, y_{j+1}] and the first part is |y_0 - x_0| +
+# |y_k - x_k|, so 2n d^p is the constant
+#
+#     K = |y_0 - x_0| + |y_k - x_k| + sum_j w_j (y_{j+1} - y_j).
+
+
+def _pl_eval(xs, ys, t: Fraction) -> Fraction:
+    """The map through the nodes (xs[i], ys[i]) with slope-1 tails, at t.
+    Swapping xs and ys evaluates the inverse map."""
+    if t <= xs[0]:
+        return t + (ys[0] - xs[0])
+    if t >= xs[-1]:
+        return t + (ys[-1] - xs[-1])
+    i = bisect_right(xs, t) - 1
+    return ys[i] + (t - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+
+
+@dataclass(frozen=True)
+class WindowMap:
+    """The exact data of one map g that its window distortions depend on."""
+
+    xs: Tuple[Fraction, ...]
+    ys: Tuple[Fraction, ...]
+    inv_slopes: Tuple[Fraction, ...]  # s_j, the slope of g^{-1} on [y_j, y_{j+1}]
+    tails: Fraction                   # |y_0 - x_0| + |y_k - x_k|
+    n0: Fraction                      # 2n d^p is constant for n >= n0
+
+    @staticmethod
+    def of(g: PLHomeo) -> "WindowMap":
+        xs = tuple(x for x, _ in g.nodes)
+        ys = tuple(y for _, y in g.nodes)
+        return WindowMap(
+            xs=xs,
+            ys=ys,
+            inv_slopes=tuple(
+                (x1 - x0) / (y1 - y0)
+                for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
+            ),
+            tails=abs(ys[0] - xs[0]) + abs(ys[-1] - xs[-1]),
+            n0=max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])),
+        )
+
+    def cut(self, n: Fraction) -> "WindowCut":
+        """How the window [-n, n], n > 0, meets the map."""
+        if n >= self.n0:
+            return WindowCut(covers_nodes=True)
+        xs, ys = self.xs, self.ys
+        lo = max(_pl_eval(xs, ys, -n), -n)
+        hi = min(_pl_eval(xs, ys, n), n)
+        if lo >= hi:
+            return WindowCut(covers_nodes=False, exact=to_real(4 * n))
+        preimage = min(_pl_eval(ys, xs, n), n) - max(_pl_eval(ys, xs, -n), -n)
+        full, partial = [], []
+        j = max(bisect_right(ys, lo) - 1, 0)
+        while j < len(ys) - 1 and ys[j] < hi:
+            a, b = max(ys[j], lo), min(ys[j + 1], hi)
+            if (a, b) == (ys[j], ys[j + 1]):
+                full.append(j)
+            elif a < b:
+                partial.append((j, to_real(b - a)))
+            j += 1
+        return WindowCut(
+            covers_nodes=False,
+            exact=to_real(4 * n - (hi - lo) - preimage),
+            full=range(full[0], full[-1] + 1) if full else range(0),
+            partial=tuple(partial),
+        )
+
+    def at(self, p) -> "WindowProfile":
+        """The per-piece weights and the constant K at exponent p."""
+        p = check_exponent(p)
+        weights = tuple(abs(to_real(s) ** (1 / p) - 1) ** p for s in self.inv_slopes)
+        masses = tuple(
+            w * to_real(y1 - y0) for w, y0, y1 in zip(weights, self.ys, self.ys[1:])
+        )
+        return WindowProfile(weights, masses, to_real(self.tails) + mpmath.fsum(masses))
+
+
+@dataclass(frozen=True)
+class WindowCut:
+    """How one window [-n, n] meets one map: the exact part
+    4n - |O| - |g^{-1}(O)|, the pieces [y_j, y_{j+1}] inside O and the
+    lengths of those that O cuts short. None of this is needed once the
+    window covers every node (n >= N0)."""
+
+    covers_nodes: bool
+    exact: mpf = mpf(0)
+    full: range = range(0)
+    partial: Tuple[Tuple[int, mpf], ...] = ()
+
+
+@dataclass(frozen=True)
+class WindowProfile:
+    """One map's window data at one exponent p."""
+
+    weights: Tuple[mpf, ...]  # w_j
+    masses: Tuple[mpf, ...]   # w_j (y_{j+1} - y_j)
+    constant: mpf             # K
+
+    def scaled_power(self, cut: WindowCut) -> mpf:
+        """2n ||pi(g) xi_n - xi_n||_p^p for the window that `cut` describes."""
+        if cut.covers_nodes:
+            return self.constant
+        # Summed piece by piece rather than as a difference of prefix sums:
+        # at large p the weights span hundreds of orders of magnitude, and
+        # heavy pieces outside O would cancel the light ones inside.
+        total = cut.exact
+        for j in cut.full:
+            total += self.masses[j]
+        for j, length in cut.partial:
+            total += self.weights[j] * length
+        return total
+
+
+def window_distortion(g: PLHomeo, n, p) -> mpf:
+    """||pi(g) xi_n - xi_n||_p for the window xi_n = window_vector(n, p),
+    in closed form: the value koopman_distortion(g, xi_n, p) computes by
+    building pi(g) xi_n."""
+    n = Fraction(n)
+    if n <= 0:
+        raise DomainError(f"window radius must be positive, got {n}")
+    p = check_exponent(p)
+    w = WindowMap.of(g)
+    return (w.at(p).scaled_power(w.cut(n)) / to_real(2 * n)) ** (1 / p)
+
+
 def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     """Per-piece signed power v -> sign(v) |v|^{q/p}; maps the unit sphere
     of L^q onto the unit sphere of L^p."""

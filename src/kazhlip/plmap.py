@@ -17,6 +17,7 @@ identity to (0, 0). Canonical node tuples are the equality oracle.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,8 @@ def parse_rational(text, path: str = "") -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"invalid rational {text!r}: {exc}", path) from exc
     if isinstance(text, float):
+        if not math.isfinite(text):
+            raise SchemaError(f"expected a finite rational, got {text}", path)
         return Fraction(text).limit_denominator(10**12)
     raise SchemaError(f"expected a rational string, got {type(text).__name__}", path)
 

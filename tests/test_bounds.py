@@ -15,12 +15,14 @@ from kazhlip import (
     estimate_p2,
     kappa_max,
     kappa_transfer,
+    koopman_distortion,
     log_power_bound_check,
     phi,
     phi_crossover,
     phi_inv,
     precision,
     theorem_check,
+    window_vector,
 )
 from kazhlip.bounds import default_n_schedule, default_p_list
 
@@ -77,6 +79,12 @@ class TestPhiInv:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi_inv(0.5)
+
+    def test_rejects_non_finite(self):
+        for t in (float("nan"), float("inf"), float("-inf")):
+            for f in (phi, phi_inv):
+                with pytest.raises(DomainError):
+                    f(t)
 
     def test_round_trip(self):
         for k in range(1000):
@@ -150,6 +158,11 @@ class TestKappaTransfer:
             kappa_transfer(1.5, 0.1)
         with pytest.raises(DomainError):
             kappa_transfer(4, -0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                kappa_transfer(bad, 0.1)
+            with pytest.raises(DomainError):
+                kappa_transfer(4, bad)
 
 
 class TestLogPowerBound:
@@ -303,3 +316,15 @@ class TestBoundReport:
         S = sym("bump", BUMP)
         report = bound_report(S)
         assert all(c.kappa_upper >= 0 for c in report.sweep)
+
+    def test_sweep_matches_koopman_oracle(self):
+        S = sym("mixed", BUMP, STEEP, PLHomeo.from_pairs([(-4, -3), (0, 2), (3, 3)]))
+        report = bound_report(S, p_list=[4, 16, 64], n_schedule=[F(1, 2), 1, 3, 20, 64])
+        for c in report.sweep:
+            xi = window_vector(c.n, c.p)
+            want = max(koopman_distortion(g, xi, c.p) for _, g in S.generators)
+            assert abs(c.distortion - want) <= mpf("1e-20") * want
+
+    def test_repeated_reports_identical(self):
+        S = sym("mixed", BUMP, STEEP)
+        assert bound_report(S).to_json() == bound_report(S).to_json()

@@ -53,6 +53,11 @@ class TestPhiCommands:
         code, _, err = run(capsys, "phi", "1.5")
         assert code == 1 and "error" in err
 
+    def test_non_finite_exit_1(self, capsys):
+        for argv in (("phi", "nan"), ("phi", "inf"), ("phi-inv", "nan"), ("phi-inv", "inf")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and "finite" in err and out == ""
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(capsys, "--precision", "20", "phi", "1.0")
         assert code == 0
@@ -99,6 +104,16 @@ class TestPhiTable:
     def test_grid_domain_error(self, capsys):
         code, _, _ = run(capsys, "phi-table", "--grid", "0:1.5:0.1")
         assert code == 1
+
+    def test_grid_field_count_exit_2(self, capsys):
+        for grid in ("0:1", "0:1:0.1:2", "0:x:0.1"):
+            code, _, err = run(capsys, "phi-table", "--grid", grid)
+            assert code == 2 and "--grid" in err
+
+    def test_grid_non_finite_exit_1(self, capsys):
+        for grid in ("0:nan:0.1", "0:1:inf"):
+            code, _, err = run(capsys, "phi-table", "--grid", grid)
+            assert code == 1 and "finite" in err
 
     def test_svg_render_inv(self):
         svg = render_svg(phi_inv_branch_table(1, 23, 1))
@@ -159,6 +174,14 @@ class TestGroupCommands:
         ]}))
         code, _, err = run(capsys, "lip", str(bad))
         assert code == 2 and "generators[0].map" in err
+
+
+    def test_non_finite_node_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"name": "x", "generators": [{"label": "a", '
+                       '"map": {"nodes": [[0, NaN], [1, 2]]}}]}')
+        code, _, err = run(capsys, "bound", str(bad))
+        assert code == 2 and "generators[0].map.nodes[0][1]" in err
 
 
 class TestLimitDiag:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from kazhlip import (
@@ -18,7 +20,8 @@ from kazhlip import (
     subtract,
     window_vector,
 )
-from kazhlip.koopman import mazur_upper_ratio, refine
+from kazhlip.koopman import WindowMap, mazur_upper_ratio, refine, window_distortion
+from kazhlip.precision import to_real
 from kazhlip.verify import random_plhomeo, random_step_function
 
 TOL = mpf("1e-12")
@@ -205,3 +208,76 @@ class TestMazurMap:
         xi = normalize(StepFunction.indicator(0, 1), 2)
         eta = normalize(StepFunction.indicator(0, 2), 2)
         assert mazur_upper_ratio(xi, eta, 2, 4) > 0
+
+
+ORACLE_REL = mpf("1e-20")
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+
+
+@st.composite
+def window_cases(draw):
+    """A map, an exponent and a window radius n; n is drawn both below
+    and above N0, the radius from which the window holds every node."""
+    xs = sorted(draw(st.lists(rationals, min_size=1, max_size=6, unique=True)))
+    ys = sorted(draw(st.lists(rationals, min_size=len(xs), max_size=len(xs), unique=True)))
+    g = PLHomeo(tuple(zip(xs, ys)))
+    p = draw(st.sampled_from((2, 3, 16, 64)))
+    n0 = WindowMap.of(g).n0
+    scale = draw(st.fractions(min_value=F(1, 16), max_value=3, max_denominator=16))
+    return g, max(n0, F(1, 8)) * scale, p
+
+
+def oracle_close(g, n, p):
+    want = koopman_distortion(g, window_vector(n, p), p)
+    got = window_distortion(g, n, p)
+    assert abs(got - want) <= ORACLE_REL * abs(want), (g.nodes, n, p, got, want)
+
+
+class TestWindowDistortion:
+    @settings(max_examples=200, deadline=None)
+    @given(window_cases())
+    def test_matches_koopman_oracle(self, case):
+        oracle_close(*case)
+
+    def test_identity_zero(self):
+        for p in (2, 3, 16, 64):
+            for n in (F(1, 3), 1, 100):
+                assert window_distortion(PLHomeo.identity(), n, p) == 0
+
+    def test_translation_p2(self):
+        c = F(3, 2)
+        for n in (F(3, 2), 4, 64):
+            d = window_distortion(PLHomeo.translation(c), n, 2)
+            assert abs(d**2 - to_real(c / n)) <= ORACLE_REL * d**2
+
+    def test_window_disjoint_from_image(self):
+        for p in (2, 3, 16, 64):
+            d = window_distortion(PLHomeo.translation(5), 1, p)
+            assert abs(d - 2 ** (1 / mpf(p))) <= ORACLE_REL
+            oracle_close(PLHomeo.translation(5), 1, p)
+
+    def test_window_ends_inside_pieces(self):
+        g = PLHomeo.from_pairs([(-4, -3), (0, 2), (3, 3)])
+        assert g(-2) == F(-1, 2) and g(2) == F(8, 3)  # both inside a piece
+        for p in (2, 3, 16, 64):
+            oracle_close(g, 2, p)
+
+    def test_light_pieces_beside_heavy_ones(self):
+        # g fixes -2 and 2, has slopes near 1 inside the window and slope 4
+        # outside it: at p = 64 the weights differ by 150 orders of magnitude.
+        g = PLHomeo.from_pairs(
+            [(-10, -10), (-9, -6), (-4, -4), (-2, -2), (0, F(1, 100)), (2, 2)]
+        )
+        for p in (2, 16, 64):
+            oracle_close(g, 2, p)
+
+    def test_constant_from_n0(self):
+        g = PLHomeo.from_pairs([(-4, -3), (0, 2), (3, 3)])
+        wm = WindowMap.of(g)
+        assert wm.n0 == 4
+        for p in (2, 3, 16, 64):
+            profile = wm.at(p)
+            values = {profile.scaled_power(wm.cut(wm.n0 * k)) for k in (1, F(3, 2), 2, 1000)}
+            assert values == {profile.constant}
+            oracle = 2 * wm.n0 * koopman_distortion(g, window_vector(wm.n0, p), p) ** p
+            assert abs(profile.constant - oracle) <= ORACLE_REL * oracle
