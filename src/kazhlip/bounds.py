@@ -22,7 +22,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -153,8 +153,7 @@ class EstimateFragment:
     hypothesis_ok: bool         # global fixed set empty
 
 
-@dataclass(frozen=True)
-class _SetData:
+class _SetData(NamedTuple):
     """What the estimators need of one generating set, computed once."""
 
     per_generator: Tuple[Tuple[str, Fraction, Fraction], ...]  # (label, lip, disp)

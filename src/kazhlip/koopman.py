@@ -18,13 +18,13 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
 
 from .errors import DomainError, SchemaError
-from .plmap import PLHomeo, format_rational, parse_rational
+from .plmap import PLHomeo, evaluate_nodes, format_rational, parse_rational
 from .precision import real_str, to_real
 
 
@@ -203,24 +203,17 @@ def window_vector(n, p) -> StepFunction:
 # |y_k - x_k|, so 2n d^p is the constant
 #
 #     K = |y_0 - x_0| + |y_k - x_k| + sum_j w_j (y_{j+1} - y_j).
+#
+# The window classes are NamedTuples rather than dataclasses: every CLI
+# process imports this module, and a frozen dataclass takes about 1.5 ms
+# to build.
 
 
-def _pl_eval(xs, ys, t: Fraction) -> Fraction:
-    """The map through the nodes (xs[i], ys[i]) with slope-1 tails, at t.
-    Swapping xs and ys evaluates the inverse map."""
-    if t <= xs[0]:
-        return t + (ys[0] - xs[0])
-    if t >= xs[-1]:
-        return t + (ys[-1] - xs[-1])
-    i = bisect_right(xs, t) - 1
-    return ys[i] + (t - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-
-
-@dataclass(frozen=True)
-class WindowMap:
+class WindowMap(NamedTuple):
     """The exact data of one map g that its window distortions depend on."""
 
-    xs: Tuple[Fraction, ...]
+    nodes: Tuple[Tuple[Fraction, Fraction], ...]
+    inv_nodes: Tuple[Tuple[Fraction, Fraction], ...]  # the nodes of g^{-1}
     ys: Tuple[Fraction, ...]
     inv_slopes: Tuple[Fraction, ...]  # s_j, the slope of g^{-1} on [y_j, y_{j+1}]
     tails: Fraction                   # |y_0 - x_0| + |y_k - x_k|
@@ -231,10 +224,11 @@ class WindowMap:
         xs = tuple(x for x, _ in g.nodes)
         ys = tuple(y for _, y in g.nodes)
         return WindowMap(
-            xs=xs,
+            nodes=g.nodes,
+            inv_nodes=tuple(zip(ys, xs)),
             ys=ys,
             inv_slopes=tuple(
-                (x1 - x0) / (y1 - y0)
+                Fraction(x1 - x0, y1 - y0)
                 for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
             ),
             tails=abs(ys[0] - xs[0]) + abs(ys[-1] - xs[-1]),
@@ -245,12 +239,12 @@ class WindowMap:
         """How the window [-n, n], n > 0, meets the map."""
         if n >= self.n0:
             return WindowCut(covers_nodes=True)
-        xs, ys = self.xs, self.ys
-        lo = max(_pl_eval(xs, ys, -n), -n)
-        hi = min(_pl_eval(xs, ys, n), n)
+        g, ginv, ys = self.nodes, self.inv_nodes, self.ys
+        lo = max(evaluate_nodes(g, -n), -n)
+        hi = min(evaluate_nodes(g, n), n)
         if lo >= hi:
             return WindowCut(covers_nodes=False, exact=to_real(4 * n))
-        preimage = min(_pl_eval(ys, xs, n), n) - max(_pl_eval(ys, xs, -n), -n)
+        preimage = min(evaluate_nodes(ginv, n), n) - max(evaluate_nodes(ginv, -n), -n)
         full, partial = [], []
         j = max(bisect_right(ys, lo) - 1, 0)
         while j < len(ys) - 1 and ys[j] < hi:
@@ -277,8 +271,7 @@ class WindowMap:
         return WindowProfile(weights, masses, to_real(self.tails) + mpmath.fsum(masses))
 
 
-@dataclass(frozen=True)
-class WindowCut:
+class WindowCut(NamedTuple):
     """How one window [-n, n] meets one map: the exact part
     4n - |O| - |g^{-1}(O)|, the pieces [y_j, y_{j+1}] inside O and the
     lengths of those that O cuts short. None of this is needed once the
@@ -290,8 +283,7 @@ class WindowCut:
     partial: Tuple[Tuple[int, mpf], ...] = ()
 
 
-@dataclass(frozen=True)
-class WindowProfile:
+class WindowProfile(NamedTuple):
     """One map's window data at one exponent p."""
 
     weights: Tuple[mpf, ...]  # w_j

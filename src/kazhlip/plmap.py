@@ -61,16 +61,23 @@ def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
         if y1 <= y0:
             raise DomainError(f"y-coordinates not strictly increasing at y={y1}")
 
-    # Each interior slope is computed once; the tails have slope 1.
+    def slope_left(i: int) -> Fraction:
+        if i == 0:
+            return Fraction(1)
+        (xa, ya), (xb, yb) = nodes[i - 1], nodes[i]
+        return Fraction(yb - ya, xb - xa)
+
+    def slope_right(i: int) -> Fraction:
+        if i == len(nodes) - 1:
+            return Fraction(1)
+        (xa, ya), (xb, yb) = nodes[i], nodes[i + 1]
+        return Fraction(yb - ya, xb - xa)
+
     # Removing a collinear node never changes its neighbours' slopes, so a
     # single pass suffices.
-    one = Fraction(1)
-    slopes = [one]
-    slopes.extend(
-        (yb - ya) / (xb - xa) for (xa, ya), (xb, yb) in zip(nodes, nodes[1:])
+    kept = tuple(
+        nodes[i] for i in range(len(nodes)) if slope_left(i) != slope_right(i)
     )
-    slopes.append(one)
-    kept = tuple(node for i, node in enumerate(nodes) if slopes[i] != slopes[i + 1])
     if kept:
         return kept
     # Everything collapsed: the map is a pure translation.
@@ -79,30 +86,17 @@ def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
     return ((Fraction(0), c),)
 
 
-def _evaluate_ascending(nodes: Sequence[Node], points: Sequence[Fraction]) -> list:
-    """Values at ascending points of the PL map with these nodes, found by
-    one sweep over the nodes; the same values as PLHomeo.evaluate."""
-    last = len(nodes) - 1
-    x_first, y_first = nodes[0]
-    x_last, y_last = nodes[last]
-    left, right = y_first - x_first, y_last - x_last
-    out = []
-    i = 0
-    for x in points:
-        if x <= x_first:
-            out.append(x + left)
-        elif x >= x_last:
-            out.append(x + right)
-        else:
-            while nodes[i + 1][0] <= x:
-                i += 1
-            x0, y0 = nodes[i]
-            if x == x0:
-                out.append(y0)
-            else:
-                x1, y1 = nodes[i + 1]
-                out.append(y0 + (x - x0) * (y1 - y0) / (x1 - x0))
-    return out
+def evaluate_nodes(nodes: Sequence[Node], x: Fraction) -> Fraction:
+    """The PL map through these increasing nodes, with slope-1 tails, at the
+    rational x. With each node's coordinates swapped it is the inverse map."""
+    xs = [n[0] for n in nodes]
+    if x <= xs[0]:
+        return x + (nodes[0][1] - xs[0])
+    if x >= xs[-1]:
+        return x + (nodes[-1][1] - xs[-1])
+    i = bisect_right(xs, x) - 1
+    (x0, y0), (x1, y1) = nodes[i], nodes[i + 1]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
 
 @dataclass(frozen=True)
@@ -155,15 +149,7 @@ class PLHomeo:
         )
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        xs = [n[0] for n in self.nodes]
-        if x <= xs[0]:
-            return x + self.left_offset
-        if x >= xs[-1]:
-            return x + self.right_offset
-        i = bisect_right(xs, x) - 1
-        (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        return evaluate_nodes(self.nodes, Fraction(x))
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
@@ -186,13 +172,11 @@ class PLHomeo:
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        inv_nodes = tuple((y, x) for x, y in other.nodes)
+        inv = other.invert()
         xs = {x for x, _ in other.nodes}
-        xs.update(_evaluate_ascending(inv_nodes, [x for x, _ in self.nodes]))
-        pts = sorted(xs)
-        # other is increasing, so other(pts) is ascending too.
-        ys = _evaluate_ascending(self.nodes, _evaluate_ascending(other.nodes, pts))
-        return PLHomeo(tuple(zip(pts, ys)))
+        xs.update(inv.evaluate(x) for x, _ in self.nodes)
+        nodes = tuple((x, self.evaluate(other.evaluate(x))) for x in sorted(xs))
+        return PLHomeo(nodes)
 
     def __mul__(self, other: "PLHomeo") -> "PLHomeo":
         return self.compose(other)

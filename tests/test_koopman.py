@@ -281,3 +281,12 @@ class TestWindowDistortion:
             assert values == {profile.constant}
             oracle = 2 * wm.n0 * koopman_distortion(g, window_vector(wm.n0, p), p) ** p
             assert abs(profile.constant - oracle) <= ORACLE_REL * oracle
+
+    def test_int_nodes_exact(self):
+        # Nodes given as plain ints keep the window data rational.
+        raw = PLHomeo(((0, 0), (3, 1), (4, 4)))
+        frac = PLHomeo.from_pairs(raw.nodes)
+        assert all(isinstance(s, F) for s in WindowMap.of(raw).inv_slopes)
+        for p in (2, 3, 16, 64):
+            for n in (F(1, 2), 2, 5):
+                assert window_distortion(raw, n, p) == window_distortion(frac, n, p)

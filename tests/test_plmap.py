@@ -53,6 +53,11 @@ class TestEvaluate:
         assert BUMP.evaluate(F(1, 2)) == 1
         assert BUMP.evaluate(F(1, 2)) == interp_oracle(BUMP.nodes, F(1, 2))
 
+    def test_int_nodes(self):
+        f = PLHomeo(((0, 0), (3, 1), (4, 4)))
+        assert f.evaluate(1) == F(1, 3) and isinstance(f.evaluate(1), F)
+        assert f.invert().evaluate(F(1, 3)) == 1
+
     @given(plhomeos(), rationals)
     def test_matches_interpolation_oracle(self, f, x):
         assert f.evaluate(x) == interp_oracle(f.nodes, x)
@@ -89,6 +94,14 @@ class TestCompose:
 
     def test_inverse_gives_identity(self):
         assert BUMP.compose(BUMP.invert()) == IDENT
+
+    def test_int_nodes_stay_exact(self):
+        f = PLHomeo(((0, 0), (3, 1), (4, 4)))
+        ff = f.compose(f)
+        assert ff == PLHomeo.from_pairs(f.nodes).compose(PLHomeo.from_pairs(f.nodes))
+        coords = [c for node in ff.nodes for c in node]
+        assert F(11, 3) in coords
+        assert all(isinstance(c, (int, F)) for c in coords)
 
     @given(plhomeos(), plhomeos(), rationals)
     @settings(max_examples=60)
