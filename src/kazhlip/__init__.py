@@ -18,7 +18,6 @@ from .bounds import (
 )
 from .errors import (
     DomainError,
-    HypothesisFlag,
     KazhlipError,
     ResourceLimitError,
     SchemaError,

@@ -9,9 +9,10 @@ the Kazhdan constant of the generating set:
 The window-vector estimators compute, for a generating set S acting
 without global fixed points, the distortions d_{p,n} = max_{g in S}
 ||pi(g) xi_n - xi_n||_p of the unit windows xi_n = (2n)^{-1/p} 1_{[-n,n]},
-and transfer each to a Kazhdan upper bound (p/2) d_{p,n}. Both the per-n
-certified bounds and the analytic n -> oo limits are reported; the
-headline bound is their minimum.
+and transfer each to a Kazhdan upper bound (p/2) d_{p,n}. The per-n proof
+bounds and the analytic n -> oo limits are reported beside them. The
+headline bound is the minimum of phi_inv(L) and the (p/2) d_{p,n} over the
+schedule cells.
 """
 
 from __future__ import annotations
@@ -154,99 +155,78 @@ class EstimateFragment:
 
 
 class _SetData(NamedTuple):
-    """What the estimators need of one generating set, computed once."""
+    """What the estimators need of one generating set and one schedule,
+    computed once."""
 
     per_generator: Tuple[Tuple[str, Fraction, Fraction], ...]  # (label, lip, disp)
     L: Fraction
     M: Fraction
     hypothesis_ok: bool
     windows: Tuple[WindowMap, ...]
+    # each schedule entry n with the cuts of its window by every generator
+    cuts: Tuple[Tuple[Fraction, Tuple[WindowCut, ...]], ...]
 
 
-def _set_data(S: GeneratorSet) -> _SetData:
+def _set_data(S: GeneratorSet, n_schedule: Optional[Sequence]) -> _SetData:
     per_generator = tuple(
         (lab, g.lip_constant(), g.displacement()) for lab, g in S.generators
     )
-    return _SetData(
-        per_generator=per_generator,
-        L=max(lip for _, lip, _ in per_generator),
-        M=max(disp for _, _, disp in per_generator),
-        hypothesis_ok=global_fixed_set(S).is_empty,
-        windows=tuple(WindowMap.of(g) for _, g in S.generators),
-    )
-
-
-# Each schedule entry n with the cuts of its window by every generator.
-_Cuts = List[Tuple[Fraction, Tuple[WindowCut, ...]]]
-
-
-def _cut_windows(data: _SetData, n_schedule: Sequence) -> _Cuts:
+    M = max(disp for _, _, disp in per_generator)
+    if n_schedule is None:
+        n_schedule = default_n_schedule(M)
     if not n_schedule:
         raise DomainError("empty n schedule")
-    out = []
+    windows = tuple(WindowMap.of(g) for _, g in S.generators)
+    cuts = []
     for n in n_schedule:
         n = Fraction(n)
         if n <= 0:
             raise DomainError(f"schedule entries must be positive, got {n}")
-        out.append((n, tuple(w.cut(n) for w in data.windows)))
-    return out
-
-
-def _window_sweep(data: _SetData, cuts: _Cuts, p: mpf) -> List[Tuple[Fraction, mpf]]:
-    """(n, d_{p,n}) per schedule entry: the largest 2n d^p over the
-    generators, then one p-th root."""
-    profiles = [w.at(p) for w in data.windows]
-    out = []
-    for n, row in cuts:
-        top = max(pr.scaled_power(c) for pr, c in zip(profiles, row))
-        out.append((n, (top / to_real(2 * n)) ** (1 / p)))
-    return out
-
-
-def _estimate_p2(data: _SetData, cuts: _Cuts) -> EstimateFragment:
-    M = data.M
-    Lr = to_real(data.L)
-    cells = []
-    for n, d in _window_sweep(data, cuts, mpf(2)):
-        large = n > M
-        proof = None
-        if large:
-            proof = mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / mpmath.sqrt(Lr))
-        cells.append(
-            SweepCell(mpf(2), n, d, kappa_transfer(2, d), proof, large)
-        )
-    return EstimateFragment(
-        p=mpf(2),
-        L=data.L,
+        cuts.append((n, tuple(w.cut(n) for w in windows)))
+    return _SetData(
+        per_generator=per_generator,
+        L=max(lip for _, lip, _ in per_generator),
         M=M,
-        cells=tuple(cells),
-        analytic_bound=phi_inv_branches(Lr)[1],
-        hypothesis_ok=data.hypothesis_ok,
+        hypothesis_ok=global_fixed_set(S).is_empty,
+        windows=windows,
+        cuts=tuple(cuts),
     )
 
 
-def _estimate_lp(data: _SetData, p, cuts: _Cuts) -> EstimateFragment:
+def _estimate(data: _SetData, p, lemma41: bool) -> EstimateFragment:
+    """The window estimator at exponent p. Each cell takes the largest
+    2n d^p over the generators, one p-th root, the transfer (p/2) d and,
+    for n > M, the proof's per-n bound. With lemma41 the exponent is 2 and
+    the proof bound and limit are the L^2 ones; otherwise they are the L^p
+    ones, which need p > log L and p >= 2."""
     M = data.M
     Lr = to_real(data.L)
-    p = to_real(p)
-    logL = mpmath.log(Lr)
-    if p <= logL:
-        raise DomainError(f"need p > log(L) = {logL}, got p={p}")
-    if p < 2:
-        raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
+    if lemma41:
+        p = mpf(2)
+        analytic = phi_inv_branches(Lr)[1]
+    else:
+        p = to_real(p)
+        logL = mpmath.log(Lr)
+        if p <= logL:
+            raise DomainError(f"need p > log(L) = {logL}, got p={p}")
+        if p < 2:
+            raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
+        analytic = p * logL / (2 * (p - logL)) if logL > 0 else mpf(0)
+        # (log L / (p - log L))^p bounds every weight |s^{1/p} - 1|^p
+        Mr, weight_bound = to_real(M), (logL / (p - logL)) ** p
+    profiles = [w.at(p) for w in data.windows]
     cells = []
-    for n, d in _window_sweep(data, cuts, p):
+    for n, row in data.cuts:
+        top = max(pr.scaled_power(c) for pr, c in zip(profiles, row))
+        d = (top / to_real(2 * n)) ** (1 / p)
         large = n > M
         proof = None
-        if large:
-            nr, Mr = to_real(n), to_real(M)
-            dp_bound = (
-                4 * Mr * Lr / (2 * nr)
-                + (nr + Mr) / nr * (logL / (p - logL)) ** p
-            )
-            proof = dp_bound ** (1 / p)
+        if large and lemma41:
+            proof = mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / mpmath.sqrt(Lr))
+        elif large:
+            nr = to_real(n)
+            proof = (4 * Mr * Lr / (2 * nr) + (nr + Mr) / nr * weight_bound) ** (1 / p)
         cells.append(SweepCell(p, n, d, kappa_transfer(p, d), proof, large))
-    analytic = p * logL / (2 * (p - logL)) if logL > 0 else mpf(0)
     return EstimateFragment(
         p=p,
         L=data.L,
@@ -261,22 +241,23 @@ def estimate_p2(S: GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
     """L^2 window estimator: per-n distortions d_n, the proof's per-n
     certified bound sqrt(2 - 2 ((n-M)/n) L^{-1/2}) for n > M, and the
     analytic limit sqrt2 (1 - L^{-1/2})^{1/2}."""
-    data = _set_data(S)
-    return _estimate_p2(data, _cut_windows(data, n_schedule))
+    return _estimate(_set_data(S, n_schedule), 2, lemma41=True)
 
 
 def estimate_lp(S: GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
     """L^p window estimator for p > log L: per-n distortions transferred
     via (p/2) d, the proof's per-n bound on d^p, and the analytic per-p
     bound p log L / (2 (p - log L)) whose p -> oo limit is (1/2) log L."""
-    data = _set_data(S)
-    return _estimate_lp(data, p, _cut_windows(data, n_schedule))
+    return _estimate(_set_data(S, n_schedule), p, lemma41=False)
 
 
-def default_n_schedule(M: Fraction, kmax: int = 12) -> List[Fraction]:
-    """Geometric schedule n = 2^k max(1, M), k = 0..kmax."""
+SCHEDULE_KMAX = 12
+
+
+def default_n_schedule(M: Fraction) -> List[Fraction]:
+    """Geometric schedule n = 2^k max(1, M), k = 0..SCHEDULE_KMAX."""
     base = max(Fraction(1), Fraction(M))
-    return [base * 2**k for k in range(kmax + 1)]
+    return [base * 2**k for k in range(SCHEDULE_KMAX + 1)]
 
 
 def default_p_list(L: Fraction) -> List[int]:
@@ -377,20 +358,12 @@ def bound_report(
 ) -> BoundReport:
     """Full estimator report: per-generator data, the (p, n) sweep, the
     analytic bounds, and the headline (minimum) certified upper bound."""
-    data = _set_data(S)
-    if n_schedule is None:
-        n_schedule = default_n_schedule(data.M)
+    data = _set_data(S, n_schedule)
     if p_list is None:
         p_list = default_p_list(data.L)
-    cuts = _cut_windows(data, n_schedule)
-
     sweep: List[SweepCell] = []
     for p in p_list:
-        if to_real(p) == 2:
-            frag = _estimate_p2(data, cuts)
-        else:
-            frag = _estimate_lp(data, p, cuts)
-        sweep.extend(frag.cells)
+        sweep.extend(_estimate(data, p, lemma41=to_real(p) == 2).cells)
 
     lemma43, lemma41 = phi_inv_branches(to_real(data.L))
     phi_inv_L = min(lemma41, lemma43)

@@ -1,8 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 domain error, 2 parse/schema error, 3 hypothesis
-flag (the numbers were computed but a hypothesis needed to interpret them
-as certified bounds fails, e.g. a global fixed point exists).
+Exit codes: 0 success, 1 domain error, 2 parse/schema error, 3 from
+`bound` and `sweep` when the numbers were computed but a hypothesis needed
+to interpret them as certified bounds fails (a global fixed point exists).
 """
 
 from __future__ import annotations
@@ -12,16 +12,15 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from mpmath import mpf
 
 from . import bounds, figures, limits, verify
-from .errors import DomainError, HypothesisFlag, ResourceLimitError, SchemaError
+from .errors import DomainError, ResourceLimitError, SchemaError
 from .groupact import GeneratorSet, Word, global_fixed_set
 from .plmap import parse_rational
-from .precision import get_precision, real_str, set_precision
+from .precision import real_str, set_precision
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -306,9 +305,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except HypothesisFlag as exc:
-        print(f"hypothesis flag: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

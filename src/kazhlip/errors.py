@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping in the CLI: DomainError -> 1, SchemaError -> 2,
-HypothesisFlag -> 3.
+Exit-code mapping in the CLI: DomainError and ResourceLimitError -> 1,
+SchemaError -> 2. Exit 3 is no exception: `bound` and `sweep` return it
+when the generating set has a global fixed point.
 """
 
 
@@ -24,7 +25,3 @@ class SchemaError(KazhlipError, ValueError):
 class ResourceLimitError(KazhlipError, RuntimeError):
     """An enumeration exceeded its configured cap."""
 
-
-class HypothesisFlag(KazhlipError, RuntimeError):
-    """A computation ran, but a hypothesis needed to interpret the result
-    as a certified bound does not hold (e.g. a global fixed point exists)."""

@@ -128,11 +128,14 @@ class GeneratorSet:
             if not isinstance(g["label"], str):
                 raise SchemaError("'label' must be a string", f"{gpath}.label")
             gens.append((g["label"], PLHomeo.from_obj(g["map"], f"{gpath}.map")))
+        symmetric = obj.get("symmetric", False)
+        if not isinstance(symmetric, bool):
+            raise SchemaError("'symmetric' must be true or false", f"{path}.symmetric")
         try:
             return GeneratorSet(
                 name=str(obj.get("name", "unnamed")),
                 generators=tuple(gens),
-                symmetric=bool(obj.get("symmetric", False)),
+                symmetric=symmetric,
             )
         except DomainError as exc:
             raise SchemaError(str(exc), path) from exc

@@ -14,18 +14,17 @@ carries the unit sphere of L^q onto the unit sphere of L^p.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import mpmath
 from mpmath import mpf
 
-from .errors import DomainError, SchemaError
-from .plmap import PLHomeo, evaluate_nodes, format_rational, parse_rational
-from .precision import real_str, to_real
+from .errors import DomainError
+from .plmap import PLHomeo, evaluate_nodes
+from .precision import to_real
 
 
 def check_exponent(p) -> mpf:
@@ -80,40 +79,6 @@ class StepFunction:
         c = to_real(c)
         return StepFunction(self.breakpoints, tuple(v * c for v in self.values))
 
-    def to_obj(self) -> dict:
-        return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "values": [real_str(v) for v in self.values],
-        }
-
-    @staticmethod
-    def from_obj(obj, path: str = "step_function") -> "StepFunction":
-        if not isinstance(obj, dict):
-            raise SchemaError("expected an object", path)
-        bps_raw = obj.get("breakpoints")
-        vals_raw = obj.get("values")
-        if not isinstance(bps_raw, list) or not isinstance(vals_raw, list):
-            raise SchemaError("'breakpoints' and 'values' must be lists", path)
-        bps = tuple(
-            parse_rational(b, f"{path}.breakpoints[{i}]") for i, b in enumerate(bps_raw)
-        )
-        try:
-            vals = tuple(mpf(str(v)) for v in vals_raw)
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"invalid value: {exc}", f"{path}.values") from exc
-        try:
-            return StepFunction(bps, vals)
-        except DomainError as exc:
-            raise SchemaError(str(exc), path) from exc
-
-    @staticmethod
-    def from_json(text: str) -> "StepFunction":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", "step_function") from exc
-        return StepFunction.from_obj(obj)
-
 
 def refine(xi: StepFunction, eta: StepFunction):
     """Common refinement over the union of supports: a sorted breakpoint
@@ -153,22 +118,23 @@ def inner_product(xi: StepFunction, eta: StepFunction) -> mpf:
 
 
 def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
-    """pi(g) xi with exact image breakpoints and per-piece values
-    v * s^{1/p}, s the constant slope of g^{-1} on the piece."""
+    """pi(g) xi with exact image breakpoints. The piece [a, b) of xi's
+    breakpoints merged with g's nodes maps to [g(a), g(b)), where g^{-1}
+    has the constant slope s = (b - a) / (g(b) - g(a)); its value is
+    v * s^{1/p}."""
     p = check_exponent(p)
-    ginv = g.invert()
-    lo, hi = g.evaluate(xi.breakpoints[0]), g.evaluate(xi.breakpoints[-1])
-    breaks = {g.evaluate(b) for b in xi.breakpoints}
+    bps = xi.breakpoints
+    xs = set(bps)
     if len(g.nodes) > 1:  # a pure translation has no slope changes
-        breaks.update(y for _, y in g.nodes if lo < y < hi)
-    breaks = sorted(breaks)
+        xs.update(x for x, _ in g.nodes if bps[0] < x < bps[-1])
+    xs = sorted(xs)
+    ys = [g.evaluate(x) for x in xs]
     values = []
-    for a, b in zip(breaks, breaks[1:]):
-        mid = (a + b) / 2
-        s = ginv.slope_at(mid)  # exact rational, constant on (a, b)
-        v = xi.value_at(ginv.evaluate(mid))
+    for a, b, ga, gb in zip(xs, xs[1:], ys, ys[1:]):
+        v = xi.value_at(a)
+        s = Fraction(b - a, gb - ga)  # the slope of g^{-1} on [g(a), g(b))
         values.append(v * to_real(s) ** (1 / p) if v != 0 else mpf(0))
-    return StepFunction(tuple(breaks), tuple(values))
+    return StepFunction(tuple(ys), tuple(values))
 
 
 def koopman_distortion(g: PLHomeo, xi: StepFunction, p) -> mpf:

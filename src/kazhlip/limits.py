@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
 from .groupact import GeneratorSet, Word, word_evaluate
@@ -106,11 +106,11 @@ def lip_trend(seq: ActionSequence) -> Dict[str, List[Tuple[int, Fraction]]]:
     return out
 
 
-def lip_trend_flags(seq: ActionSequence, tol: Fraction = LIP_TO_ONE_TOL) -> Dict[str, bool]:
-    """Per label: True when the last-stage Lip is within tol of 1 (the
-    hypothesis lim Lip = 1 is plausibly observed)."""
+def lip_trend_flags(seq: ActionSequence) -> Dict[str, bool]:
+    """Per label: True when the last-stage Lip is within LIP_TO_ONE_TOL of 1
+    (the hypothesis lim Lip = 1 is plausibly observed)."""
     trend = lip_trend(seq)
-    return {lab: values[-1][1] - 1 <= tol for lab, values in trend.items()}
+    return {lab: values[-1][1] - 1 <= LIP_TO_ONE_TOL for lab, values in trend.items()}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ identity to (0, 0). Canonical node tuples are the equality oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -30,8 +29,9 @@ Node = Tuple[Fraction, Fraction]
 
 
 def parse_rational(text, path: str = "") -> Fraction:
-    """Parse an exact rational from a "p/q" or integer string (ints and
-    floats appearing in JSON are accepted when exact)."""
+    """Parse an exact rational from a "p/q", integer or decimal string. JSON
+    ints are taken as they are, and a finite JSON float as the decimal it
+    was written as (1e-13 is 1/10^13, 0.1 is 1/10)."""
     if isinstance(text, bool):
         raise SchemaError("expected a rational, got a boolean", path)
     if isinstance(text, int):
@@ -44,7 +44,7 @@ def parse_rational(text, path: str = "") -> Fraction:
     if isinstance(text, float):
         if not math.isfinite(text):
             raise SchemaError(f"expected a finite rational, got {text}", path)
-        return Fraction(text).limit_denominator(10**12)
+        return Fraction(repr(text))
     raise SchemaError(f"expected a rational string, got {type(text).__name__}", path)
 
 
@@ -138,9 +138,6 @@ class PLHomeo:
     def right_offset(self) -> Fraction:
         xk, yk = self.nodes[-1]
         return yk - xk
-
-    def breakpoints(self) -> Tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.nodes)
 
     def interior_slopes(self) -> Tuple[Fraction, ...]:
         return tuple(
@@ -252,14 +249,3 @@ class PLHomeo:
             return PLHomeo(tuple(nodes))
         except DomainError as exc:
             raise SchemaError(str(exc), f"{path}.nodes") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
-    @staticmethod
-    def from_json(text: str) -> "PLHomeo":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", "plhomeo") from exc
-        return PLHomeo.from_obj(obj)

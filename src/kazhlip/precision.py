@@ -61,11 +61,9 @@ def to_real(x) -> mpf:
     return mpf(x)
 
 
-def real_str(x, digits: int | None = None) -> str:
+def real_str(x) -> str:
     """Decimal string at the configured number of significant digits."""
-    if digits is None:
-        digits = mpmath.mp.dps
-    return mpmath.nstr(mpf(x), digits, strip_zeros=False)
+    return mpmath.nstr(mpf(x), mpmath.mp.dps, strip_zeros=False)
 
 
 set_precision(_initial_digits())

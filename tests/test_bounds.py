@@ -325,6 +325,21 @@ class TestBoundReport:
             want = max(koopman_distortion(g, xi, c.p) for _, g in S.generators)
             assert abs(c.distortion - want) <= mpf("1e-20") * want
 
+    @pytest.mark.parametrize(
+        "S",
+        [sym("bump", BUMP), GeneratorSet("bump-translation", (("a", BUMP), ("t", T1)))],
+        ids=["bump-pair", "bump-translation"],
+    )
+    def test_cells_match_estimators(self, S):
+        schedule = default_n_schedule(S.max_displacement())
+        report = bound_report(S, p_list=[2, 4, 16], n_schedule=schedule)
+        want = (
+            estimate_p2(S, schedule).cells
+            + estimate_lp(S, 4, schedule).cells
+            + estimate_lp(S, 16, schedule).cells
+        )
+        assert report.sweep == want
+
     def test_repeated_reports_identical(self):
         S = sym("mixed", BUMP, STEEP)
         assert bound_report(S).to_json() == bound_report(S).to_json()

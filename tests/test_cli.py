@@ -183,6 +183,23 @@ class TestGroupCommands:
         code, _, err = run(capsys, "bound", str(bad))
         assert code == 2 and "generators[0].map.nodes[0][1]" in err
 
+    def test_symmetric_string_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "sym.json"
+        bad.write_text(json.dumps({"name": "x", "symmetric": "false", "generators": [
+            {"label": "a", "map": {"nodes": [["0", "0"], ["1", "2"], ["3", "3"]]}}
+        ]}))
+        code, out, err = run(capsys, "lip", str(bad))
+        assert code == 2 and "generator_set.symmetric" in err and out == ""
+
+    def test_small_float_node_kept_exact(self, capsys, tmp_path):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"name": "x", "generators": [
+            {"label": "a", "map": {"nodes": [[0, 0], [1e-13, 2], [3, 3]]}}
+        ]}))
+        code, out, _ = run(capsys, "lip", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["per_generator"][0]["lip"] == str(F(2 * 10**13))
+
 
 class TestLimitDiag:
     def test_diag_json(self, capsys, tmp_path):

@@ -170,6 +170,14 @@ class TestGeneratorSet:
         again = GeneratorSet.from_json(S.to_json())
         assert again == S
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_symmetric_must_be_boolean(self, flag):
+        S = gens(("t", T1), ("T", T1.invert()))
+        obj = dict(S.to_obj(), symmetric=flag)
+        with pytest.raises(SchemaError) as err:
+            GeneratorSet.from_obj(obj)
+        assert "generator_set.symmetric" in str(err.value)
+
     def test_schema_error_has_field_path(self):
         bad = json.dumps({"name": "x", "generators": [{"label": "a"}]})
         with pytest.raises(SchemaError) as err:

@@ -102,6 +102,22 @@ class TestKoopmanApply:
             assert out.breakpoints == xi.breakpoints
             assert all(abs(u - v) == 0 for u, v in zip(out.values, xi.values))
 
+    def test_matches_pointwise_definition(self):
+        # (pi(g) xi)(x) = xi(g^{-1}(x)) (Dg^{-1}(x))^{1/p}, read at each
+        # output piece's midpoint through the inverse map
+        rng = random.Random(19)
+        for _ in range(50):
+            g = random_plhomeo(rng, max_nodes=5, max_mag=40)
+            xi = random_step_function(rng)
+            p = rng.choice([1, 2, 3, 16])
+            ginv = g.invert()
+            out = koopman_apply(g, xi, p)
+            assert out.support == (g(xi.support[0]), g(xi.support[1]))
+            for a, b, v in zip(out.breakpoints, out.breakpoints[1:], out.values):
+                mid = (a + b) / 2
+                want = xi.value_at(ginv(mid)) * to_real(ginv.slope_at(mid)) ** (1 / mpf(p))
+                assert v == want
+
     def test_isometry_random(self):
         rng = random.Random(13)
         for _ in range(50):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kazhlip import DomainError, IntervalUnion, PLHomeo
+from kazhlip import DomainError, IntervalUnion, PLHomeo, parse_rational
 from kazhlip.verify import random_plhomeo
 
 BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
@@ -61,6 +61,14 @@ class TestEvaluate:
     @given(plhomeos(), rationals)
     def test_matches_interpolation_oracle(self, f, x):
         assert f.evaluate(x) == interp_oracle(f.nodes, x)
+
+
+class TestParseRational:
+    def test_json_floats_read_as_written(self):
+        assert parse_rational(0.5) == F(1, 2)
+        assert parse_rational(0.1) == F(1, 10)
+        assert parse_rational(-2.0) == -2
+        assert parse_rational(1e-13) == F(1, 10**13)
 
 
 class TestCanonicalForm:
