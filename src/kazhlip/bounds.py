@@ -49,7 +49,13 @@ def phi(t) -> mpf:
     t = _finite("t", t)
     if t < 0 or t >= mpmath.sqrt(2):
         raise DomainError(f"phi is defined on [0, sqrt(2)), got {t}")
-    return max(mpmath.e ** (2 * t), 4 / (2 - t * t) ** 2)
+    return max(phi_branches(t))
+
+
+def phi_branches(t: mpf) -> Tuple[mpf, mpf]:
+    """The two branches e^{2t} and 4 (2 - t^2)^{-2} of phi, for t in
+    [0, sqrt 2); phi is their maximum."""
+    return mpmath.e ** (2 * t), 4 / (2 - t * t) ** 2
 
 
 def phi_inv_branches(t: mpf) -> Tuple[mpf, mpf]:

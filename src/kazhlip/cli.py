@@ -84,11 +84,11 @@ def _parse_grid(text: str):
 
 
 def cmd_phi_table(args) -> int:
-    start, end, step = _parse_grid(args.grid)
+    grid = () if args.grid is None else _parse_grid(args.grid)
     if args.which == "phi-branches":
-        table = figures.phi_branch_table(start, end, step)
+        table = figures.phi_branch_table(*grid)
     else:
-        table = figures.phi_inv_branch_table(start, end, step)
+        table = figures.phi_inv_branch_table(*grid)
     if args.format == "svg":
         _emit(figures.render_svg(table), args.out)
     else:
@@ -299,8 +299,6 @@ def main(argv=None) -> int:
     try:
         if args.precision is not None:
             set_precision(args.precision)
-        if args.command == "phi-table" and args.grid is None:
-            args.grid = "0:1.4:0.01" if args.which == "phi-branches" else "1:23:0.1"
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from typing import List, Tuple
 import mpmath
 from mpmath import mpf
 
-from .bounds import phi_crossover, phi_inv_branches
+from .bounds import phi_branches, phi_crossover, phi_inv_branches
 from .errors import DomainError
 from .precision import real_str, to_real
 
@@ -64,8 +64,7 @@ def phi_branch_table(start=0, end="1.4", step="0.01") -> BranchTable:
         raise DomainError("phi grid must stay inside [0, sqrt(2))")
     rows = []
     for t in grid:
-        b1 = mpmath.e ** (2 * t)
-        b2 = 4 / (2 - t * t) ** 2
+        b1, b2 = phi_branches(t)
         rows.append((t, b1, b2, max(b1, b2)))
     tstar = phi_crossover()
     return BranchTable(
@@ -73,7 +72,7 @@ def phi_branch_table(start=0, end="1.4", step="0.01") -> BranchTable:
         header=("t", "exp_branch", "rational_branch", "max"),
         rows=tuple(rows),
         crossover_t=tstar,
-        crossover_value=mpmath.e ** (2 * tstar),
+        crossover_value=phi_branches(tstar)[0],
     )
 
 
@@ -92,7 +91,7 @@ def phi_inv_branch_table(start=1, end=23, step="0.1") -> BranchTable:
         which="phi-inv-branches",
         header=("t", "log_branch", "sqrt_branch", "min"),
         rows=tuple(rows),
-        crossover_t=mpmath.e ** (2 * tstar),  # abscissa where the min switches
+        crossover_t=phi_branches(tstar)[0],  # abscissa where the min switches
         crossover_value=tstar,
     )
 
@@ -121,10 +120,9 @@ def render_svg(table: BranchTable) -> str:
 
     if table.which == "phi-branches":
         legend = ("exp(2t)", "4(2-t^2)^-2")
-        cx, cy = float(table.crossover_t), float(table.crossover_value)
     else:
         legend = ("log(t)/2", "sqrt(2)(1-t^-1/2)^1/2")
-        cx, cy = float(table.crossover_t), float(table.crossover_value)
+    cx, cy = float(table.crossover_t), float(table.crossover_value)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

@@ -131,9 +131,12 @@ class GeneratorSet:
         symmetric = obj.get("symmetric", False)
         if not isinstance(symmetric, bool):
             raise SchemaError("'symmetric' must be true or false", f"{path}.symmetric")
+        name = obj.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise SchemaError("'name' must be a string", f"{path}.name")
         try:
             return GeneratorSet(
-                name=str(obj.get("name", "unnamed")),
+                name=name,
                 generators=tuple(gens),
                 symmetric=symmetric,
             )

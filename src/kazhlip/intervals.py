@@ -19,16 +19,8 @@ class IntervalUnion:
     components: Tuple[Tuple[Optional[Fraction], Optional[Fraction]], ...]
 
     @staticmethod
-    def empty() -> "IntervalUnion":
-        return IntervalUnion(())
-
-    @staticmethod
     def whole_line() -> "IntervalUnion":
         return IntervalUnion(((None, None),))
-
-    @staticmethod
-    def point(x: Fraction) -> "IntervalUnion":
-        return IntervalUnion(((x, x),))
 
     @staticmethod
     def from_intervals(parts) -> "IntervalUnion":

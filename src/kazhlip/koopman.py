@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import DomainError
-from .plmap import PLHomeo, evaluate_nodes
+from .plmap import PLHomeo, evaluate_sorted, piece_slopes
 from .precision import to_real
 
 
@@ -128,11 +128,13 @@ def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
     if len(g.nodes) > 1:  # a pure translation has no slope changes
         xs.update(x for x, _ in g.nodes if bps[0] < x < bps[-1])
     xs = sorted(xs)
-    ys = [g.evaluate(x) for x in xs]
+    gx, gy = zip(*g.nodes)
+    ys = evaluate_sorted(gx, gy, xs)
+    # the slope of g^{-1} on each [g(a), g(b))
+    slopes = piece_slopes(tuple(zip(ys, xs)))
     values = []
-    for a, b, ga, gb in zip(xs, xs[1:], ys, ys[1:]):
+    for a, s in zip(xs, slopes):
         v = xi.value_at(a)
-        s = Fraction(b - a, gb - ga)  # the slope of g^{-1} on [g(a), g(b))
         values.append(v * to_real(s) ** (1 / p) if v != 0 else mpf(0))
     return StepFunction(tuple(ys), tuple(values))
 
@@ -178,8 +180,7 @@ def window_vector(n, p) -> StepFunction:
 class WindowMap(NamedTuple):
     """The exact data of one map g that its window distortions depend on."""
 
-    nodes: Tuple[Tuple[Fraction, Fraction], ...]
-    inv_nodes: Tuple[Tuple[Fraction, Fraction], ...]  # the nodes of g^{-1}
+    xs: Tuple[Fraction, ...]
     ys: Tuple[Fraction, ...]
     inv_slopes: Tuple[Fraction, ...]  # s_j, the slope of g^{-1} on [y_j, y_{j+1}]
     tails: Fraction                   # |y_0 - x_0| + |y_k - x_k|
@@ -187,16 +188,11 @@ class WindowMap(NamedTuple):
 
     @staticmethod
     def of(g: PLHomeo) -> "WindowMap":
-        xs = tuple(x for x, _ in g.nodes)
-        ys = tuple(y for _, y in g.nodes)
+        xs, ys = zip(*g.nodes)
         return WindowMap(
-            nodes=g.nodes,
-            inv_nodes=tuple(zip(ys, xs)),
+            xs=xs,
             ys=ys,
-            inv_slopes=tuple(
-                Fraction(x1 - x0, y1 - y0)
-                for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
-            ),
+            inv_slopes=piece_slopes(tuple(zip(ys, xs))),
             tails=abs(ys[0] - xs[0]) + abs(ys[-1] - xs[-1]),
             n0=max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])),
         )
@@ -205,12 +201,13 @@ class WindowMap(NamedTuple):
         """How the window [-n, n], n > 0, meets the map."""
         if n >= self.n0:
             return WindowCut(covers_nodes=True)
-        g, ginv, ys = self.nodes, self.inv_nodes, self.ys
-        lo = max(evaluate_nodes(g, -n), -n)
-        hi = min(evaluate_nodes(g, n), n)
+        xs, ys = self.xs, self.ys
+        g_lo, g_hi = evaluate_sorted(xs, ys, (-n, n))
+        lo, hi = max(g_lo, -n), min(g_hi, n)
         if lo >= hi:
             return WindowCut(covers_nodes=False, exact=to_real(4 * n))
-        preimage = min(evaluate_nodes(ginv, n), n) - max(evaluate_nodes(ginv, -n), -n)
+        inv_lo, inv_hi = evaluate_sorted(ys, xs, (-n, n))
+        preimage = min(inv_hi, n) - max(inv_lo, -n)
         full, partial = [], []
         j = max(bisect_right(ys, lo) - 1, 0)
         while j < len(ys) - 1 and ys[j] < hi:

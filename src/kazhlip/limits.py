@@ -218,11 +218,8 @@ def limit_translation_diagnostic(
             word_vals.append((str(w), t))
         disp = [(lab, g.displacement()) for lab, g in stage.generators]
         attaining = max(disp, key=lambda pair: pair[1])[0]
-        lips = {str(Word(((lab, 1),))): g.lip_constant() for lab, g in stage.generators}
-        # Lip of an arbitrary word's element, for the defect bound
-        for w in all_words:
-            lips[str(w)] = elems[str(w)].lip_constant()
-        stage_lips.append(lips)
+        # Lip of each word's element, for the defect bound
+        stage_lips.append({str(w): elems[str(w)].lip_constant() for w in all_words})
         stage_records.append(
             StageRecord(
                 index=i,

@@ -52,6 +52,13 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
+    """The slope of each piece between consecutive nodes, as a Fraction."""
+    return tuple(
+        Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])
+    )
+
+
 def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
     if not nodes:
         raise DomainError("a PL map needs at least one node")
@@ -60,23 +67,12 @@ def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
             raise DomainError(f"x-coordinates not strictly increasing at x={x1}")
         if y1 <= y0:
             raise DomainError(f"y-coordinates not strictly increasing at y={y1}")
-
-    def slope_left(i: int) -> Fraction:
-        if i == 0:
-            return Fraction(1)
-        (xa, ya), (xb, yb) = nodes[i - 1], nodes[i]
-        return Fraction(yb - ya, xb - xa)
-
-    def slope_right(i: int) -> Fraction:
-        if i == len(nodes) - 1:
-            return Fraction(1)
-        (xa, ya), (xb, yb) = nodes[i], nodes[i + 1]
-        return Fraction(yb - ya, xb - xa)
-
-    # Removing a collinear node never changes its neighbours' slopes, so a
-    # single pass suffices.
+    # Node i sits between slopes[i] and slopes[i + 1]; the tails have slope
+    # 1. Removing a collinear node never changes its neighbours' slopes, so
+    # a single pass suffices.
+    slopes = [1, *piece_slopes(nodes), 1]
     kept = tuple(
-        nodes[i] for i in range(len(nodes)) if slope_left(i) != slope_right(i)
+        node for node, left, right in zip(nodes, slopes, slopes[1:]) if left != right
     )
     if kept:
         return kept
@@ -86,17 +82,26 @@ def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
     return ((Fraction(0), c),)
 
 
-def evaluate_nodes(nodes: Sequence[Node], x: Fraction) -> Fraction:
-    """The PL map through these increasing nodes, with slope-1 tails, at the
-    rational x. With each node's coordinates swapped it is the inverse map."""
-    xs = [n[0] for n in nodes]
-    if x <= xs[0]:
-        return x + (nodes[0][1] - xs[0])
-    if x >= xs[-1]:
-        return x + (nodes[-1][1] - xs[-1])
-    i = bisect_right(xs, x) - 1
-    (x0, y0), (x1, y1) = nodes[i], nodes[i + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+def evaluate_sorted(xs: Sequence, ys: Sequence, points: Iterable) -> list:
+    """The PL map through the increasing nodes (xs[i], ys[i]), with slope-1
+    tails, at each of the increasing rational points, in one walk over the
+    nodes. At Fraction points the values are Fractions, also for int nodes.
+    With xs and ys swapped it is the inverse map."""
+    left, right = ys[0] - xs[0], ys[-1] - xs[-1]
+    out = []
+    i = 0
+    for x in points:
+        i = bisect_right(xs, x, i)  # xs[i - 1] <= x < xs[i]
+        if i == 0:
+            out.append(x + left)
+        elif x == xs[i - 1]:
+            out.append(Fraction(ys[i - 1]))
+        elif i == len(xs):
+            out.append(x + right)
+        else:
+            x0, y0 = xs[i - 1], ys[i - 1]
+            out.append(y0 + Fraction((x - x0) * (ys[i] - y0), xs[i] - x0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,11 @@ class PLHomeo:
         return yk - xk
 
     def interior_slopes(self) -> Tuple[Fraction, ...]:
-        return tuple(
-            Fraction(y1 - y0, x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.nodes, self.nodes[1:])
-        )
+        return piece_slopes(self.nodes)
 
     def evaluate(self, x) -> Fraction:
-        return evaluate_nodes(self.nodes, Fraction(x))
+        xs, ys = zip(*self.nodes)
+        return evaluate_sorted(xs, ys, (Fraction(x),))[0]
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
@@ -159,8 +162,7 @@ class PLHomeo:
         if x < xs[0] or x >= xs[-1]:
             return Fraction(1)
         i = bisect_right(xs, x) - 1
-        (x0, y0), (x1, y1) = self.nodes[i], self.nodes[i + 1]
-        return Fraction(y1 - y0, x1 - x0)
+        return piece_slopes(self.nodes[i : i + 2])[0]
 
     # -- group structure -------------------------------------------------
 
@@ -169,11 +171,13 @@ class PLHomeo:
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        inv = other.invert()
-        xs = {x for x, _ in other.nodes}
-        xs.update(inv.evaluate(x) for x, _ in self.nodes)
-        nodes = tuple((x, self.evaluate(other.evaluate(x))) for x in sorted(xs))
-        return PLHomeo(nodes)
+        fx, fy = zip(*self.nodes)
+        gx, gy = zip(*other.nodes)
+        # f o g can bend only at g's nodes and at the preimages under g of
+        # f's nodes (f = self, g = other).
+        xs = sorted({*gx, *evaluate_sorted(gy, gx, fx)})
+        ys = evaluate_sorted(fx, fy, evaluate_sorted(gx, gy, xs))
+        return PLHomeo(tuple(zip(xs, ys)))
 
     def __mul__(self, other: "PLHomeo") -> "PLHomeo":
         return self.compose(other)

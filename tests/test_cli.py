@@ -191,6 +191,14 @@ class TestGroupCommands:
         code, out, err = run(capsys, "lip", str(bad))
         assert code == 2 and "generator_set.symmetric" in err and out == ""
 
+    def test_null_name_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "name.json"
+        bad.write_text(json.dumps({"name": None, "generators": [
+            {"label": "a", "map": {"nodes": [["0", "0"], ["1", "2"], ["3", "3"]]}}
+        ]}))
+        code, out, err = run(capsys, "lip", str(bad))
+        assert code == 2 and "generator_set.name" in err and out == ""
+
     def test_small_float_node_kept_exact(self, capsys, tmp_path):
         path = tmp_path / "small.json"
         path.write_text(json.dumps({"name": "x", "generators": [

@@ -178,6 +178,15 @@ class TestGeneratorSet:
             GeneratorSet.from_obj(obj)
         assert "generator_set.symmetric" in str(err.value)
 
+    def test_name_must_be_string(self):
+        obj = gens(("t", T1)).to_obj()
+        del obj["name"]
+        assert GeneratorSet.from_obj(obj).name == "unnamed"
+        for name in (None, 3, ["x"]):
+            with pytest.raises(SchemaError) as err:
+                GeneratorSet.from_obj(dict(obj, name=name))
+            assert "generator_set.name" in str(err.value)
+
     def test_schema_error_has_field_path(self):
         bad = json.dumps({"name": "x", "generators": [{"label": "a"}]})
         with pytest.raises(SchemaError) as err:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kazhlip import DomainError, IntervalUnion, PLHomeo, parse_rational
+from kazhlip.plmap import evaluate_sorted
 from kazhlip.verify import random_plhomeo
 
 BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
@@ -61,6 +62,50 @@ class TestEvaluate:
     @given(plhomeos(), rationals)
     def test_matches_interpolation_oracle(self, f, x):
         assert f.evaluate(x) == interp_oracle(f.nodes, x)
+
+
+@st.composite
+def sorted_points(draw, coords):
+    """Increasing points, with repeats, drawn from the node coordinates, the
+    midpoints between them, both tails and anywhere else."""
+    coords = sorted(coords)
+    special = coords + [F(a + b, 2) for a, b in zip(coords, coords[1:])]
+    special += [coords[0] - 1, coords[-1] + 1]
+    points = draw(
+        st.lists(st.one_of(st.sampled_from(special), rationals), min_size=1, max_size=12)
+    )
+    return sorted(points + points[:2])
+
+
+class TestEvaluateSorted:
+    @given(st.data())
+    def test_matches_interpolation_oracle(self, data):
+        f = data.draw(plhomeos())
+        xs, ys = zip(*f.nodes)
+        points = data.draw(sorted_points(xs))
+        assert evaluate_sorted(xs, ys, points) == [interp_oracle(f.nodes, x) for x in points]
+
+    @given(st.data())
+    def test_swapped_nodes_give_the_inverse(self, data):
+        f = data.draw(plhomeos())
+        xs, ys = zip(*f.nodes)
+        points = data.draw(sorted_points(ys))
+        inv = f.invert()
+        assert evaluate_sorted(ys, xs, points) == [inv.evaluate(y) for y in points]
+
+    @given(st.data())
+    def test_int_nodes_give_fractions(self, data):
+        def ints(size):
+            return st.lists(
+                st.integers(-50, 50), min_size=size, max_size=size, unique=True
+            )
+
+        xs = sorted(data.draw(st.integers(1, 6).flatmap(ints)))
+        ys = sorted(data.draw(ints(len(xs))))
+        points = [F(x) for x in data.draw(sorted_points(xs))]
+        values = evaluate_sorted(xs, ys, points)
+        assert all(type(v) is F for v in values)
+        assert values == [interp_oracle(list(zip(xs, ys)), x) for x in points]
 
 
 class TestParseRational:
