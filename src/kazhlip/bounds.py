@@ -74,7 +74,9 @@ def phi_inv(t) -> mpf:
 
 def phi_crossover() -> mpf:
     """The unique t* in (0, sqrt 2) where the two phi branches cross,
-    located by bisection on the monotone gap 2t - log4 + 2 log(2 - t^2)."""
+    located by bisection on the monotone gap 2t - log4 + 2 log(2 - t^2)
+    until the bracket holds no real between its ends at the working
+    precision."""
 
     def gap(t):
         return 2 * t - mpmath.log(4) + 2 * mpmath.log(2 - t * t)
@@ -82,13 +84,14 @@ def phi_crossover() -> mpf:
     lo, hi = mpf(1), mpf("1.3")
     if not (gap(lo) > 0 and gap(hi) < 0):
         raise DomainError("crossover bracket [1, 1.3] invalid at this precision")
-    while hi - lo > mpf("1e-12"):
+    while True:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            return mid
         if gap(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
 
 
 def kappa_transfer(p, distortion) -> mpf:

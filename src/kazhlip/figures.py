@@ -16,11 +16,12 @@ import mpmath
 from mpmath import mpf
 
 from .bounds import phi_branches, phi_crossover, phi_inv_branches
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .precision import real_str, to_real
 
 WIDTH, HEIGHT = 800, 600
 MARGIN = 60
+GRID_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,17 @@ def _grid(start, end, step) -> List[mpf]:
         raise DomainError(f"grid step must be positive, got {step}")
     if end < start:
         raise DomainError(f"grid end {end} below start {start}")
+    if (end - start) / step >= GRID_MAX_POINTS:
+        raise ResourceLimitError(
+            f"grid {start}:{end}:{step} has more than {GRID_MAX_POINTS} points"
+        )
     out = []
     t = start
     while t <= end + step / 2:
         out.append(t)
-        t += step
+        t, last = t + step, t
+        if t == last:  # the step vanishes in rounding: t would never reach end
+            raise DomainError(f"grid step {step} is below the working precision at {t}")
     return out
 
 

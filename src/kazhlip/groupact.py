@@ -147,7 +147,7 @@ class GeneratorSet:
     def from_json(text: str) -> "GeneratorSet":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an int over Python's digit limit
             raise SchemaError(f"invalid JSON: {exc}", "generator_set") from exc
         return GeneratorSet.from_obj(obj)
 

@@ -172,28 +172,44 @@ def window_vector(n, p) -> StepFunction:
 #
 #     K = |y_0 - x_0| + |y_k - x_k| + sum_j w_j (y_{j+1} - y_j).
 #
+# Only w_j depends on p. WindowMap.of takes each log s_j, piece length and
+# the tails to reals once, so each p costs one exp and one power per piece.
+#
 # The window classes are NamedTuples rather than dataclasses: every CLI
 # process imports this module, and a frozen dataclass takes about 1.5 ms
 # to build.
 
 
 class WindowMap(NamedTuple):
-    """The exact data of one map g that its window distortions depend on."""
+    """The data of one map g that its window distortions depend on: exact
+    nodes, and the p-independent reals at the working precision."""
 
     xs: Tuple[Fraction, ...]
     ys: Tuple[Fraction, ...]
     inv_slopes: Tuple[Fraction, ...]  # s_j, the slope of g^{-1} on [y_j, y_{j+1}]
-    tails: Fraction                   # |y_0 - x_0| + |y_k - x_k|
+    slopes: Tuple[mpf, ...]           # s_j rounded to the working precision
+    log_slopes: Tuple[mpf, ...]       # log s_j, with 10 guard bits
+    lengths: Tuple[mpf, ...]          # y_{j+1} - y_j
+    tails: mpf                        # |y_0 - x_0| + |y_k - x_k|
     n0: Fraction                      # 2n d^p is constant for n >= n0
 
     @staticmethod
     def of(g: PLHomeo) -> "WindowMap":
         xs, ys = zip(*g.nodes)
+        inv_slopes = piece_slopes(tuple(zip(ys, xs)))
+        slopes = tuple(to_real(s) for s in inv_slopes)
+        # mpf ** takes its logarithm with 10 extra bits; so does this, and
+        # the weights in `at` keep the digits of s ** (1 / p).
+        with mpmath.extraprec(10):
+            log_slopes = tuple(mpmath.log(s) for s in slopes)
         return WindowMap(
             xs=xs,
             ys=ys,
-            inv_slopes=piece_slopes(tuple(zip(ys, xs))),
-            tails=abs(ys[0] - xs[0]) + abs(ys[-1] - xs[-1]),
+            inv_slopes=inv_slopes,
+            slopes=slopes,
+            log_slopes=log_slopes,
+            lengths=tuple(to_real(y1 - y0) for y0, y1 in zip(ys, ys[1:])),
+            tails=to_real(abs(ys[0] - xs[0]) + abs(ys[-1] - xs[-1])),
             n0=max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])),
         )
 
@@ -227,11 +243,15 @@ class WindowMap(NamedTuple):
     def at(self, p) -> "WindowProfile":
         """The per-piece weights and the constant K at exponent p."""
         p = check_exponent(p)
-        weights = tuple(abs(to_real(s) ** (1 / p) - 1) ** p for s in self.inv_slopes)
-        masses = tuple(
-            w * to_real(y1 - y0) for w, y0, y1 in zip(weights, self.ys, self.ys[1:])
-        )
-        return WindowProfile(weights, masses, to_real(self.tails) + mpmath.fsum(masses))
+        r = 1 / p
+        if r == 1 or r == 0.5:
+            # mpf ** needs no logarithm here (a power, a square root)
+            roots = [s ** r for s in self.slopes]
+        else:
+            roots = [mpmath.exp(mpmath.fmul(r, c, exact=True)) for c in self.log_slopes]
+        weights = tuple(abs(x - 1) ** p for x in roots)
+        masses = tuple(w * length for w, length in zip(weights, self.lengths))
+        return WindowProfile(weights, masses, self.tails + mpmath.fsum(masses))
 
 
 class WindowCut(NamedTuple):

@@ -91,7 +91,7 @@ class ActionSequence:
     def from_json(text: str) -> "ActionSequence":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an int over Python's digit limit
             raise SchemaError(f"invalid JSON: {exc}", "action_sequence") from exc
         return ActionSequence.from_obj(obj)
 

@@ -17,6 +17,7 @@ identity to (0, 0). Canonical node tuples are the equality oracle.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,18 +28,33 @@ from .intervals import IntervalUnion
 
 Node = Tuple[Fraction, Fraction]
 
+# The largest decimal exponent a rational string may carry: the limit Python
+# puts on the digits of a decimal integer string. Fraction("1e400000000")
+# would otherwise build a 400-million-digit integer.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?0*(\d+)$", re.IGNORECASE)
+
 
 def parse_rational(text, path: str = "") -> Fraction:
     """Parse an exact rational from a "p/q", integer or decimal string. JSON
     ints are taken as they are, and a finite JSON float as the decimal it
-    was written as (1e-13 is 1/10^13, 0.1 is 1/10)."""
+    was written as (1e-13 is 1/10^13, 0.1 is 1/10). A decimal exponent may
+    be at most MAX_DECIMAL_EXPONENT in magnitude."""
     if isinstance(text, bool):
         raise SchemaError("expected a rational, got a boolean", path)
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        text = text.strip()
+        m = _EXPONENT.search(text)
+        # the length test keeps int() off a digit string over Python's limit
+        if m and (len(m[1]) > len(str(MAX_DECIMAL_EXPONENT)) or int(m[1]) > MAX_DECIMAL_EXPONENT):
+            raise SchemaError(
+                f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude",
+                path,
+            )
         try:
-            return Fraction(text.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"invalid rational {text!r}: {exc}", path) from exc
     if isinstance(text, float):

@@ -135,6 +135,15 @@ class TestCrossover:
             b = phi_crossover()
         assert abs(a - b) <= mpf("1e-10")
 
+    def test_full_working_precision(self):
+        def gap(t):
+            return 2 * t - mpmath.log(4) + 2 * mpmath.log(2 - t * t)
+
+        with precision(80):
+            want = mpmath.findroot(gap, mpf("1.18"))
+        with precision(50):
+            assert abs(phi_crossover() - want) <= mpf("1e-45")
+
     def test_phi_inv_branch_switch(self):
         # the min branch of phi_inv switches exactly at phi(tstar)
         switch = phi(phi_crossover())

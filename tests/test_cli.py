@@ -115,6 +115,17 @@ class TestPhiTable:
             code, _, err = run(capsys, "phi-table", "--grid", grid)
             assert code == 1 and "finite" in err
 
+    def test_grid_point_cap_exit_1(self, capsys):
+        # Refused from the point count alone, before any point is built.
+        code, _, err = run(capsys, "phi-table", "--grid", "0:1.4:1e-12")
+        assert code == 1 and "points" in err
+
+    def test_grid_step_below_precision_exit_1(self, capsys):
+        # 1 + 1e-40 rounds to 1 at 30 digits, so the grid would never advance.
+        code, _, err = run(capsys, "phi-table", "--which", "phi-inv-branches",
+                           "--grid", "1:1:1e-40")
+        assert code == 1 and "precision" in err
+
     def test_svg_render_inv(self):
         svg = render_svg(phi_inv_branch_table(1, 23, 1))
         assert "<svg" in svg
@@ -209,6 +220,25 @@ class TestGroupCommands:
         assert json.loads(out)["per_generator"][0]["lip"] == str(F(2 * 10**13))
 
 
+    def test_huge_json_integer_exit_2(self, capsys, tmp_path):
+        # json refuses integers over Python's 4,300-digit limit.
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "x", "generators": [{"label": "a", '
+                        '"map": {"nodes": [[0, 0], [1, %s]]}}]}' % ("1" * 5000))
+        code, out, err = run(capsys, "lip", str(path))
+        assert code == 2 and "generator_set" in err and out == ""
+
+    def test_huge_exponent_exit_2(self, capsys, tmp_path, bump_pair_file):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "x", "generators": [
+            {"label": "a", "map": {"nodes": [["0", "0"], ["1", "1e400000000"]]}}
+        ]}))
+        code, _, err = run(capsys, "lip", str(path))
+        assert code == 2 and "generators[0].map.nodes[1][1]" in err
+        code, _, err = run(capsys, "bound", bump_pair_file, "--schedule", "1,1e400000000")
+        assert code == 2 and "schedule" in err
+
+
 class TestLimitDiag:
     def test_diag_json(self, capsys, tmp_path):
         stages = []
@@ -224,6 +254,13 @@ class TestLimitDiag:
         assert payload["estimates"]["g"] == 1.0
         code, out, _ = run(capsys, "limit-diag", str(path), "--format", "csv")
         assert code == 0 and out.startswith("stage,word,value")
+
+    def test_huge_json_integer_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"labels": ["g"], "stages": [{"name": "s", "generators": '
+                        '[{"label": "g", "map": {"nodes": [[%s, 1]]}}]}]}' % ("7" * 5000))
+        code, out, err = run(capsys, "limit-diag", str(path))
+        assert code == 2 and "action_sequence" in err and out == ""
 
 
 class TestVerifyAndDeterminism:

@@ -21,7 +21,7 @@ from kazhlip import (
     window_vector,
 )
 from kazhlip.koopman import WindowMap, mazur_upper_ratio, refine, window_distortion
-from kazhlip.precision import to_real
+from kazhlip.precision import precision, to_real
 from kazhlip.verify import random_plhomeo, random_step_function
 
 TOL = mpf("1e-12")
@@ -306,3 +306,38 @@ class TestWindowDistortion:
         for p in (2, 3, 16, 64):
             for n in (F(1, 2), 2, 5):
                 assert window_distortion(raw, n, p) == window_distortion(frac, n, p)
+
+    def test_weights_keep_the_digits_of_pow(self):
+        # The weights come from log s_j taken once per map; they must equal
+        # |s^{1/p} - 1|^p as mpf ** computes it, digit for digit.
+        rng = random.Random(11)
+        maps = [random_plhomeo(rng, max_nodes=10) for _ in range(40)]
+        # g^{-1} has slope 111/10, 82/47 or 187/35 on one piece: for these,
+        # exp(log(s) / 2) and sqrt(s) round apart at 30 or 50 digits.
+        maps += [PLHomeo.from_pairs([(0, 0), (a, b), (400, 400)]) for a, b in
+                 ((111, 10), (82, 47), (187, 35))]
+        for digits in (15, 30, 50):
+            with precision(digits):
+                for g in maps:
+                    wm = WindowMap.of(g)
+                    for p in (1, 2, mpf("2.5"), 3, 16, 64):
+                        pr = to_real(p)
+                        want = tuple(
+                            abs(to_real(s) ** (1 / pr) - 1) ** pr for s in wm.inv_slopes
+                        )
+                        assert wm.at(p).weights == want, (g.nodes, digits, p)
+
+    def test_window_data_at_high_precision(self):
+        # Window data built and used under one precision carries all of it.
+        rng = random.Random(5)
+        with precision(50):
+            rel = mpf("1e-40")
+            for _ in range(8):
+                g = random_plhomeo(rng, max_nodes=8, max_mag=20)
+                wm = WindowMap.of(g)
+                for p in (2, 3, 16, 64):
+                    profile = wm.at(p)
+                    for n in (F(1, 3), F(7, 2), wm.n0, 2 * wm.n0):
+                        want = koopman_distortion(g, window_vector(n, p), p)
+                        got = (profile.scaled_power(wm.cut(n)) / to_real(2 * n)) ** (1 / mpf(p))
+                        assert abs(got - want) <= rel * want, (g.nodes, p, n, got, want)

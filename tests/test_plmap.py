@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kazhlip import DomainError, IntervalUnion, PLHomeo, parse_rational
+from kazhlip import DomainError, IntervalUnion, PLHomeo, SchemaError, parse_rational
 from kazhlip.plmap import evaluate_sorted
 from kazhlip.verify import random_plhomeo
 
@@ -114,6 +114,16 @@ class TestParseRational:
         assert parse_rational(0.1) == F(1, 10)
         assert parse_rational(-2.0) == -2
         assert parse_rational(1e-13) == F(1, 10**13)
+
+    def test_exponent_cap(self):
+        assert parse_rational("1e4300") == 10**4300
+        assert parse_rational(" 3E-4300 ") == F(3, 10**4300)
+        assert parse_rational("1e00004300") == 10**4300
+        # Rejected before Fraction() would build 10^400000000.
+        for text in ("1e400000000", "1e4301", "-2.5e-4301", "1e" + "9" * 5000):
+            with pytest.raises(SchemaError) as exc:
+                parse_rational(text, "nodes[0][0]")
+            assert "nodes[0][0]" in str(exc.value)
 
 
 class TestCanonicalForm:
