@@ -31,6 +31,7 @@ from mpmath import mpf
 from .errors import DomainError
 from .groupact import GeneratorSet, global_fixed_set
 from .koopman import WindowCut, WindowMap
+from .plmap import format_rational
 from .precision import real_str, to_real
 
 def kappa_max() -> mpf:
@@ -300,11 +301,15 @@ class BoundReport:
             "label_hash": self.label_hash(),
             "hypothesis_ok": self.hypothesis_ok,
             "per_generator": [
-                {"label": lab, "lip": str(lip), "displacement": str(disp)}
-                for lab, lip, disp in self.per_generator
+                {
+                    "label": lab,
+                    "lip": format_rational(lip, f"per_generator[{i}].lip"),
+                    "displacement": format_rational(disp, f"per_generator[{i}].displacement"),
+                }
+                for i, (lab, lip, disp) in enumerate(self.per_generator)
             ],
-            "L": str(self.L),
-            "M": str(self.M),
+            "L": format_rational(self.L, "L"),
+            "M": format_rational(self.M, "M"),
             "lemma41_bound": real_str(self.lemma41_bound),
             "lemma43_bound": real_str(self.lemma43_bound),
             "phi_inv_of_L": real_str(self.phi_inv_of_L),
@@ -313,13 +318,13 @@ class BoundReport:
             "sweep": [
                 {
                     "p": real_str(c.p),
-                    "n": str(c.n),
+                    "n": format_rational(c.n, f"sweep[{i}].n"),
                     "distortion": real_str(c.distortion),
                     "kappa_upper": real_str(c.kappa_upper),
                     "proof_bound": None if c.proof_bound is None else real_str(c.proof_bound),
                     "n_large_enough": c.n_large_enough,
                 }
-                for c in self.sweep
+                for i, c in enumerate(self.sweep)
             ],
         }
 
@@ -343,13 +348,13 @@ class BoundReport:
                 "phi_inv_of_L",
             ]
         )
-        for c in self.sweep:
+        for i, c in enumerate(self.sweep):
             writer.writerow(
                 [
                     self.group_name,
                     self.label_hash(),
                     real_str(c.p),
-                    str(c.n),
+                    format_rational(c.n, f"sweep[{i}].n"),
                     real_str(c.distortion),
                     real_str(c.kappa_upper),
                     real_str(self.lemma41_bound),

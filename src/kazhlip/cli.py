@@ -19,8 +19,8 @@ from mpmath import mpf
 from . import bounds, figures, limits, verify
 from .errors import DomainError, ResourceLimitError, SchemaError
 from .groupact import GeneratorSet, Word, global_fixed_set
-from .plmap import parse_rational
-from .precision import real_str, set_precision
+from .plmap import format_rational, parse_rational
+from .precision import env_precision, real_str, set_precision
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -101,16 +101,16 @@ def cmd_lip(args) -> int:
     rows = [
         {
             "label": lab,
-            "lip": str(g.lip_constant()),
-            "displacement": str(g.displacement()),
+            "lip": format_rational(g.lip_constant(), f"per_generator[{i}].lip"),
+            "displacement": format_rational(g.displacement(), f"per_generator[{i}].displacement"),
         }
-        for lab, g in S.generators
+        for i, (lab, g) in enumerate(S.generators)
     ]
     payload = {
         "group_name": S.name,
         "per_generator": rows,
-        "L": str(S.max_lip()),
-        "M": str(S.max_displacement()),
+        "L": format_rational(S.max_lip(), "L"),
+        "M": format_rational(S.max_displacement(), "M"),
     }
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
@@ -158,7 +158,7 @@ def cmd_bound(args) -> int:
     else:
         lines = [
             f"group: {report.group_name}",
-            f"L = {report.L}, M = {report.M}",
+            f"L = {format_rational(report.L, 'L')}, M = {format_rational(report.M, 'M')}",
             f"hypothesis (no global fixed point): "
             f"{'ok' if report.hypothesis_ok else 'VIOLATED'}",
             f"analytic bound (L^2 window limit): {real_str(report.lemma41_bound)}",
@@ -297,8 +297,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision is not None:
-            set_precision(args.precision)
+        digits = env_precision() if args.precision is None else args.precision
+        if digits is not None:
+            set_precision(digits)
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -315,18 +315,6 @@ def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     return StepFunction(xi.breakpoints, tuple(out))
 
 
-def mazur_upper_ratio(xi: StepFunction, eta: StepFunction, q, p) -> mpf:
-    """Empirical ratio ||M xi - M eta||_p / ||xi - eta||_q^{q/p} for study;
-    the constant in the upper Hoelder bound is not asserted anywhere."""
-    q = check_exponent(q)
-    p = check_exponent(p)
-    denom = lp_norm(subtract(xi, eta), q) ** (q / p)
-    if denom == 0:
-        raise DomainError("the two step functions are identical")
-    num = lp_norm(subtract(mazur_map(xi, q, p), mazur_map(eta, q, p)), p)
-    return num / denom
-
-
 def normalize(xi: StepFunction, p) -> StepFunction:
     """Rescale to unit L^p norm."""
     norm = lp_norm(xi, p)

@@ -11,7 +11,9 @@ arithmetic.
 
 Canonical form: nodes whose left and right slopes agree are removed; a
 pure translation by c collapses to the single node (0, c) and the
-identity to (0, 0). Canonical node tuples are the equality oracle.
+identity to (0, 0). Canonical node tuples are the equality oracle. Maps
+built from caller nodes are validated and canonicalised; the group
+operations build results that are canonical by construction and skip both.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, ResourceLimitError, SchemaError
 from .intervals import IntervalUnion
 
 Node = Tuple[Fraction, Fraction]
@@ -64,8 +66,17 @@ def parse_rational(text, path: str = "") -> Fraction:
     raise SchemaError(f"expected a rational string, got {type(text).__name__}", path)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def format_rational(q: Fraction, path: str = "") -> str:
+    """The exact form "p" or "p/q" of a rational. A numerator or denominator
+    over Python's limit on the digits of an integer string raises
+    ResourceLimitError, naming the field at `path`."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # int -> str past sys.get_int_max_str_digits()
+        where = f"{path}: " if path else ""
+        raise ResourceLimitError(
+            f"{where}the exact rational has more digits than Python prints in an integer"
+        ) from exc
 
 
 def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
@@ -75,7 +86,7 @@ def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
     )
 
 
-def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
+def _check_increasing(nodes: Sequence[Node]) -> None:
     if not nodes:
         raise DomainError("a PL map needs at least one node")
     for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
@@ -83,6 +94,10 @@ def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
             raise DomainError(f"x-coordinates not strictly increasing at x={x1}")
         if y1 <= y0:
             raise DomainError(f"y-coordinates not strictly increasing at y={y1}")
+
+
+def _drop_collinear(nodes: Sequence[Node]) -> Tuple[Node, ...]:
+    """The canonical form of a strictly increasing node list."""
     # Node i sits between slopes[i] and slopes[i + 1]; the tails have slope
     # 1. Removing a collinear node never changes its neighbours' slopes, so
     # a single pass suffices.
@@ -96,6 +111,26 @@ def _canonical_nodes(nodes: Sequence[Node]) -> Tuple[Node, ...]:
     x0, y0 = nodes[0]
     c = y0 - x0
     return ((Fraction(0), c),)
+
+
+def _merge_nodes(xs, ys, us, vs):
+    """The nodes (xs[i], ys[i]) and (us[j], vs[j]), both increasing in x,
+    as one increasing node list; on equal x the first list's node is kept."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(us):
+        x, u = xs[i], us[j]
+        if u < x:
+            out.append((u, vs[j]))
+            j += 1
+        else:
+            out.append((x, ys[i]))
+            i += 1
+            if x == u:
+                j += 1
+    out.extend(zip(xs[i:], ys[i:]))
+    out.extend(zip(us[j:], vs[j:]))
+    return out
 
 
 def evaluate_sorted(xs: Sequence, ys: Sequence, points: Iterable) -> list:
@@ -127,9 +162,19 @@ class PLHomeo:
     nodes: Tuple[Node, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _canonical_nodes(tuple(self.nodes)))
+        nodes = tuple(self.nodes)
+        _check_increasing(nodes)
+        object.__setattr__(self, "nodes", _drop_collinear(nodes))
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, nodes: Tuple[Node, ...]) -> "PLHomeo":
+        """The map with these nodes, which must already be canonical: no
+        validation and no __post_init__."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "nodes", nodes)
+        return f
 
     @staticmethod
     def from_pairs(pairs: Iterable) -> "PLHomeo":
@@ -138,11 +183,11 @@ class PLHomeo:
 
     @staticmethod
     def identity() -> "PLHomeo":
-        return PLHomeo(((Fraction(0), Fraction(0)),))
+        return PLHomeo._canonical(((Fraction(0), Fraction(0)),))
 
     @staticmethod
     def translation(c) -> "PLHomeo":
-        return PLHomeo(((Fraction(0), Fraction(c)),))
+        return PLHomeo._canonical(((Fraction(0), Fraction(c)),))
 
     # -- basic queries -------------------------------------------------
 
@@ -183,17 +228,34 @@ class PLHomeo:
     # -- group structure -------------------------------------------------
 
     def invert(self) -> "PLHomeo":
-        return PLHomeo(tuple((y, x) for x, y in self.nodes))
+        # Swapping the coordinates inverts every slope, so the same nodes
+        # stay breakpoints; a translation (0, c) becomes (0, -c).
+        nodes = self.nodes
+        if len(nodes) == 1:
+            return PLHomeo._canonical(((nodes[0][0], -nodes[0][1]),))
+        return PLHomeo._canonical(tuple((y, x) for x, y in nodes))
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        fx, fy = zip(*self.nodes)
-        gx, gy = zip(*other.nodes)
-        # f o g can bend only at g's nodes and at the preimages under g of
-        # f's nodes (f = self, g = other).
-        xs = sorted({*gx, *evaluate_sorted(gy, gx, fx)})
-        ys = evaluate_sorted(fx, fy, evaluate_sorted(gx, gy, xs))
-        return PLHomeo(tuple(zip(xs, ys)))
+        f, g = self.nodes, other.nodes
+        # A canonical map with one node is the translation (0, c); composing
+        # with it shifts the other map's nodes and keeps every slope.
+        if len(g) == 1:
+            c = g[0][1]
+            if len(f) == 1:
+                return PLHomeo._canonical(((g[0][0], f[0][1] + c),))
+            return PLHomeo._canonical(tuple((x - c, y) for x, y in f))
+        if len(f) == 1:
+            c = f[0][1]
+            return PLHomeo._canonical(tuple((x, y + c) for x, y in g))
+        fx, fy = zip(*f)
+        gx, gy = zip(*g)
+        # f o g can bend only at g's nodes, where it takes the values f(gy),
+        # and at the preimages under g of f's nodes, where it takes fy. Both
+        # lists increase, so one merge orders them; f o g increases, so the
+        # merged nodes need no validation.
+        nodes = _merge_nodes(gx, evaluate_sorted(fx, fy, gy), evaluate_sorted(gy, gx, fx), fy)
+        return PLHomeo._canonical(_drop_collinear(nodes))
 
     def __mul__(self, other: "PLHomeo") -> "PLHomeo":
         return self.compose(other)
@@ -206,16 +268,16 @@ class PLHomeo:
         alpha = Fraction(alpha)
         if alpha <= 0:
             raise DomainError(f"homothety ratio must be positive, got {alpha}")
-        return PLHomeo(tuple((x / alpha, y / alpha) for x, y in self.nodes))
+        # Scaling both coordinates keeps every slope, so the nodes stay
+        # canonical.
+        return PLHomeo._canonical(tuple((x / alpha, y / alpha) for x, y in self.nodes))
 
     # -- metric data -------------------------------------------------
 
     def lip_constant(self) -> Fraction:
         """max over a.e. slopes of f and f^{-1} (tails contribute 1)."""
-        best = Fraction(1)
-        for s in self.interior_slopes():
-            best = max(best, s, 1 / s)
-        return best
+        slopes = self.interior_slopes() or (Fraction(1),)
+        return max(Fraction(1), max(slopes), 1 / min(slopes))
 
     def displacement(self) -> Fraction:
         """sup |f(x) - x|; attained at a node or on a tail."""
@@ -240,7 +302,7 @@ class PLHomeo:
             elif d1 == 0:
                 parts.append((x1, x1))
             elif (d0 < 0) != (d1 < 0):
-                root = x0 + (x1 - x0) * d0 / (d0 - d1)
+                root = x0 + Fraction((x1 - x0) * d0, d0 - d1)
                 parts.append((root, root))
         return IntervalUnion.from_intervals(parts)
 

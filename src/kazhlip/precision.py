@@ -4,7 +4,7 @@ Breakpoints, slopes and displacements are exact rationals throughout the
 package; only step-function values, norms and bound functions live in
 floating point. Those use mpmath at a configurable number of significant
 decimal digits (default 30, never below 15). The environment variable
-KAZHLIP_PRECISION overrides the default.
+KAZHLIP_PRECISION, an integer >= 15, overrides the default.
 """
 
 from __future__ import annotations
@@ -22,15 +22,28 @@ DEFAULT_DIGITS = 30
 MIN_DIGITS = 15
 
 
-def _initial_digits() -> int:
+def env_precision():
+    """The digits KAZHLIP_PRECISION names, or None when it is unset. A value
+    that is not an integer >= MIN_DIGITS raises DomainError."""
     raw = os.environ.get("KAZHLIP_PRECISION")
     if raw is None:
-        return DEFAULT_DIGITS
+        return None
     try:
         digits = int(raw)
-    except ValueError:
+    except ValueError as exc:
+        raise DomainError(f"KAZHLIP_PRECISION must be an integer, got {raw[:40]!r}") from exc
+    if digits < MIN_DIGITS:
+        raise DomainError(f"KAZHLIP_PRECISION must be >= {MIN_DIGITS}, got {digits}")
+    return digits
+
+
+def _initial_digits() -> int:
+    # Importing never fails: an invalid KAZHLIP_PRECISION gives the default
+    # here, and the CLI rejects it through env_precision.
+    try:
+        return env_precision() or DEFAULT_DIGITS
+    except DomainError:
         return DEFAULT_DIGITS
-    return max(digits, MIN_DIGITS)
 
 
 def set_precision(digits: int) -> None:

@@ -1,0 +1,80 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+METRICS = {"setup_s": "s", "peak_rss_mib": "MiB", "ops_per_s": "1/s", "op_p50_ms": "ms", "op_p90_ms": "ms"}
+
+
+def write_result(directory, seed, sha, ops_per_s, p50, failed=0):
+    directory.mkdir(exist_ok=True)
+    values = {"setup_s": 0.5, "peak_rss_mib": 30.0, "ops_per_s": ops_per_s, "op_p50_ms": p50, "op_p90_ms": 2 * p50}
+    result = {
+        "provenance": {"git_sha": sha, "python": "3.11.7", "workload": "exact-group", "seed": seed,
+                       "inputs": {"balls": 2, "case_seeds": f"{seed} * 1000003 + i"}},
+        "correct": failed == 0,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": METRICS[k]} for k, v in values.items()},
+    }
+    (directory / f"result-exact-group-seed{seed}-trace0.json").write_text(json.dumps(result))
+
+
+def test_record_from_synthetic_runs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_result(parent, 1, "aaa", ops_per_s=100.0, p50=3.0)
+    write_result(change, 1, "bbb", ops_per_s=150.0, p50=2.0, failed=2)
+    write_result(change, 2, "bbb", ops_per_s=1.0, p50=9.0)  # no partner: left out
+    out = tmp_path / "BENCH_9.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change), "--pr", "9",
+                              "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["pr"] == 9
+    data = rec["workloads"]["exact-group"]
+    assert data["seeds"] == [1]
+    assert data["failed"] == {"parent": 0, "change": 2}
+    assert data["not_correct"] == {"parent": 0, "change": 1}
+    ops = data["metrics"]["ops_per_s"]
+    assert ops["pairs"] == 1 and ops["pairs_won"] == 1 and ops["better"] == "higher"
+    assert ops["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+    assert ops["change"]["median"] == 150.0 and ops["median_change"] == 0.5
+    assert data["metrics"]["op_p50_ms"]["pairs_won"] == 1  # lower is better
+    assert data["metrics"]["setup_s"]["pairs_won"] == 0  # a tie is no win
+    assert data["provenance"]["parent"]["git_sha"] == "aaa"
+    assert data["provenance"]["change"]["git_sha"] == "bbb"
+
+
+def test_quartiles_and_differing_provenance(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, ops in zip(range(1, 6), (10.0, 20.0, 30.0, 40.0, 50.0)):
+        write_result(parent, seed, "aaa", ops_per_s=ops, p50=1.0)
+        write_result(change, seed, "bbb", ops_per_s=ops + 1, p50=1.0)
+    rec = bench_record.record(bench_record.load_runs(parent), bench_record.load_runs(change),
+                              json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())["end_to_end"], 1)
+    data = rec["workloads"]["exact-group"]
+    assert data["metrics"]["ops_per_s"]["parent"] == {"median": 30.0, "q1": 20.0, "q3": 40.0}
+    assert data["metrics"]["ops_per_s"]["pairs_won"] == 5
+    assert data["provenance"]["parent"]["seed"] == [1, 2, 3, 4, 5]
+    assert data["provenance"]["parent"]["inputs"]["balls"] == 2
+    assert len(data["provenance"]["parent"]["inputs"]["case_seeds"]) == 5
+
+
+def test_seed_range(tmp_path):
+    for seed in (1, 2, 3):
+        write_result(tmp_path / "parent", seed, "aaa", ops_per_s=1.0, p50=1.0)
+        write_result(tmp_path / "change", seed, "bbb", ops_per_s=2.0, p50=1.0)
+    out = tmp_path / "out.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                              "--pr", "1", "--seeds", "2-3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["exact-group"]["seeds"] == [2, 3]
+
+
+def test_no_common_run_exits_1(tmp_path):
+    write_result(tmp_path / "parent", 1, "aaa", ops_per_s=1.0, p50=1.0)
+    write_result(tmp_path / "change", 2, "bbb", ops_per_s=1.0, p50=1.0)
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                              "--pr", "1", "--out", str(tmp_path / "out.json")]) == 1

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import kazhlip
 from kazhlip import GeneratorSet, PLHomeo
 from kazhlip.cli import main
 from kazhlip.figures import phi_branch_table, phi_inv_branch_table, render_svg
@@ -67,6 +72,18 @@ class TestPhiCommands:
     def test_precision_floor(self, capsys):
         code, _, err = run(capsys, "--precision", "5", "phi", "1.0")
         assert code == 1
+
+    def test_precision_env_checked(self, capsys, monkeypatch):
+        for raw in ("abc", "10", "", "1.5"):
+            monkeypatch.setenv("KAZHLIP_PRECISION", raw)
+            code, out, err = run(capsys, "phi", "1.0")
+            assert code == 1 and "KAZHLIP_PRECISION" in err and out == ""
+        monkeypatch.setenv("KAZHLIP_PRECISION", "20")
+        code, out, _ = run(capsys, "phi", "1.0")
+        assert code == 0 and out.strip() == "7.3890560989306502272"
+        monkeypatch.setenv("KAZHLIP_PRECISION", "abc")  # the flag wins
+        code, out, _ = run(capsys, "--precision", "16", "phi", "1.0")
+        assert code == 0 and out.strip() == "7.389056098930650"
 
 
 class TestPhiTable:
@@ -237,6 +254,27 @@ class TestGroupCommands:
         assert code == 2 and "generators[0].map.nodes[1][1]" in err
         code, _, err = run(capsys, "bound", bump_pair_file, "--schedule", "1,1e400000000")
         assert code == 2 and "schedule" in err
+
+    def test_rational_over_digit_limit_exit_1(self, tmp_path):
+        # The exponent cap accepts 1e4300, but L = 10^4300 has 4,301 digits,
+        # more than Python prints in an integer.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "x", "generators": [
+            {"label": "a", "map": {"nodes": [["0", "0"], ["1", "1e4300"]]}}
+        ]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(kazhlip.__file__).parents[1])}
+        for argv, field in (
+            (["lip"], "per_generator[0].lip"),
+            (["bound"], "L:"),
+            (["bound", "--format", "json"], "per_generator[0].lip"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kazhlip.cli", *argv, str(path)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert "Traceback" not in proc.stderr and field in proc.stderr
+            assert proc.stdout == ""
 
 
 class TestLimitDiag:

@@ -20,7 +20,7 @@ from kazhlip import (
     subtract,
     window_vector,
 )
-from kazhlip.koopman import WindowMap, mazur_upper_ratio, refine, window_distortion
+from kazhlip.koopman import WindowMap, refine, window_distortion
 from kazhlip.precision import precision, to_real
 from kazhlip.verify import random_plhomeo, random_step_function
 
@@ -219,11 +219,6 @@ class TestMazurMap:
             lhs = mpf(q) / p * lp_norm(subtract(xi, eta), q)
             rhs = lp_norm(subtract(mazur_map(xi, q, p), mazur_map(eta, q, p)), p)
             assert lhs <= rhs + TOL
-
-    def test_upper_ratio_reported(self):
-        xi = normalize(StepFunction.indicator(0, 1), 2)
-        eta = normalize(StepFunction.indicator(0, 2), 2)
-        assert mazur_upper_ratio(xi, eta, 2, 4) > 0
 
 
 ORACLE_REL = mpf("1e-20")

@@ -43,6 +43,30 @@ def plhomeos(draw, max_nodes=6):
     return PLHomeo(tuple(zip(sorted(xs), sorted(ys))))
 
 
+@st.composite
+def int_plhomeos(draw, max_nodes=6):
+    """Maps built from int nodes, which canonicalisation keeps as ints."""
+    xs = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=max_nodes, unique=True))
+    ys = draw(st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs), unique=True))
+    return PLHomeo(tuple(zip(sorted(xs), sorted(ys))))
+
+
+# Every kind of map the trusted constructors treat apart: general maps,
+# translations (one node), the identity and maps with int nodes.
+any_plhomeos = st.one_of(
+    plhomeos(), rationals.map(PLHomeo.translation), st.just(IDENT), int_plhomeos()
+)
+
+
+def compose_oracle(f, g):
+    """f o g through the validating constructor: its nodes at every x-node
+    of g and every preimage under g of an x-node of f, sorted and deduplicated."""
+    g_inv = [(y, x) for x, y in g.nodes]
+    xs = sorted({*(x for x, _ in g.nodes), *(interp_oracle(g_inv, x) for x, _ in f.nodes)})
+    ys = [interp_oracle(f.nodes, interp_oracle(g.nodes, x)) for x in xs]
+    return PLHomeo(tuple(zip(xs, ys)))
+
+
 class TestEvaluate:
     def test_identity(self):
         assert IDENT.evaluate(7) == 7
@@ -172,6 +196,29 @@ class TestCompose:
         assert f.compose(g).evaluate(x) == f.evaluate(g.evaluate(x))
 
 
+class TestTrustedResults:
+    """compose, invert and conjugate_by_homothety build their results
+    without validation; each must already be the canonical node tuple."""
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_results_are_canonical(self, data):
+        f = data.draw(any_plhomeos)
+        g = data.draw(st.one_of(any_plhomeos, st.just(f.invert())))
+        alpha = data.draw(st.fractions(min_value=F(1, 40), max_value=40, max_denominator=40))
+        for h in (f.compose(g), g.compose(f), f.invert(), f.conjugate_by_homothety(alpha)):
+            assert PLHomeo(h.nodes).nodes == h.nodes
+            assert hash(PLHomeo(h.nodes)) == hash(h)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_compose_matches_validating_oracle(self, data):
+        f = data.draw(any_plhomeos)
+        g = data.draw(st.one_of(any_plhomeos, st.just(f.invert())))
+        assert f.compose(g).nodes == compose_oracle(f, g).nodes
+        assert g.compose(f).nodes == compose_oracle(g, f).nodes
+
+
 class TestInvert:
     def test_examples(self):
         assert IDENT.invert() == IDENT
@@ -288,6 +335,11 @@ class TestFixedSet:
         f = PLHomeo.from_pairs([(0, F(1, 4)), (1, F(3, 4))])
         fs = f.fixed_set()
         assert fs.components == ((F(1, 2), F(1, 2)),)
+
+    def test_int_nodes_give_an_exact_root(self):
+        f = PLHomeo(((0, 1), (4, 2)))  # f(x) = x at x = 4/3
+        assert f.fixed_set().components == ((F(4, 3), F(4, 3)),)
+        assert type(f.fixed_set().components[0][0]) is F
 
     def test_slope_one_fixed_interval(self):
         f = PLHomeo.from_pairs([(-1, -2), (0, 0), (1, 1), (2, 3)])
