@@ -128,16 +128,17 @@ def cmd_lip(args) -> int:
 def cmd_fixed_points(args) -> int:
     S = _load_group(args.input)
     fixed = global_fixed_set(S)
+    text = fixed.format("fixed_set")
     verdict = "empty" if fixed.is_empty else "nonempty"
     if args.format == "json":
         payload = {
             "group_name": S.name,
             "verdict": verdict,
-            "fixed_set": str(fixed),
+            "fixed_set": text,
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        _emit(f"global fixed set: {fixed}\nverdict: {verdict}", args.out)
+        _emit(f"global fixed set: {text}\nverdict: {verdict}", args.out)
     return EXIT_OK
 
 

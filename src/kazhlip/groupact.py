@@ -185,7 +185,11 @@ def ball(
     for _ in range(radius):
         nxt = []
         for elem, word in frontier:
+            # the inverse of the word's last letter leads back to its parent
+            back = (word.letters[-1][0], -word.letters[-1][1]) if word.letters else None
             for letter, g in steps:
+                if letter == back:
+                    continue
                 new = elem.compose(g)
                 if new.nodes in seen:
                     continue

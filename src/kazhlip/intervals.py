@@ -81,18 +81,22 @@ class IntervalUnion:
         return IntervalUnion.from_intervals(out)
 
     def __str__(self) -> str:
+        return self.format()
+
+    def format(self, path: str = "") -> str:
+        """The union as text, each endpoint printed by
+        plmap.format_rational; an endpoint with more digits than Python
+        prints raises ResourceLimitError naming `path`."""
+        from .plmap import format_rational  # plmap imports this module
+
         if self.is_empty:
             return "empty"
         parts = []
         for lo, hi in self.components:
-            if lo is None and hi is None:
-                parts.append("(-inf, +inf)")
-            elif lo is None:
-                parts.append(f"(-inf, {hi}]")
-            elif hi is None:
-                parts.append(f"[{lo}, +inf)")
-            elif lo == hi:
-                parts.append(f"{{{lo}}}")
-            else:
-                parts.append(f"[{lo}, {hi}]")
+            if lo is not None and lo == hi:
+                parts.append(f"{{{format_rational(lo, path)}}}")
+                continue
+            left = "(-inf" if lo is None else f"[{format_rational(lo, path)}"
+            right = "+inf)" if hi is None else f"{format_rational(hi, path)}]"
+            parts.append(f"{left}, {right}")
         return " U ".join(parts)

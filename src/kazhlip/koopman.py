@@ -4,6 +4,8 @@ A step function has exact rational breakpoints and high-precision real
 values; it is zero outside its support. All integrals are evaluated over
 exact common refinements of breakpoints, so the only numerical error is
 value rounding at the working precision (see :mod:`kazhlip.precision`).
+Step functions built from caller input are validated; the operations here
+build results that are valid by construction and skip the validation.
 
 The action of a PL homeomorphism g on L^p is
     (pi(g) xi)(x) = xi(g^{-1}(x)) * (Dg^{-1}(x))^{1/p},
@@ -60,6 +62,18 @@ class StepFunction:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(
+        cls, breakpoints: Tuple[Fraction, ...], values: Tuple[mpf, ...]
+    ) -> "StepFunction":
+        """The step function with these fields, which must already be valid:
+        strictly increasing Fractions and one finite mpf per piece. No
+        validation and no __post_init__."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", breakpoints)
+        object.__setattr__(f, "values", values)
+        return f
+
     @staticmethod
     def indicator(a, b, value=1) -> "StepFunction":
         return StepFunction((Fraction(a), Fraction(b)), (mpf(value),))
@@ -77,23 +91,49 @@ class StepFunction:
 
     def scale(self, c) -> "StepFunction":
         c = to_real(c)
-        return StepFunction(self.breakpoints, tuple(v * c for v in self.values))
+        if not mpmath.isfinite(c):
+            raise DomainError(f"scale factor must be finite, got {c}")
+        # mpf arithmetic never overflows, so every product is finite
+        return StepFunction._trusted(self.breakpoints, tuple(v * c for v in self.values))
+
+
+_ZERO = mpf(0)
 
 
 def refine(xi: StepFunction, eta: StepFunction):
-    """Common refinement over the union of supports: a sorted breakpoint
-    list plus the per-piece values of both functions."""
-    breaks = sorted(set(xi.breakpoints) | set(eta.breakpoints))
+    """Common refinement over the union of supports: the pieces (a, b, u, v)
+    on which xi = u and eta = v, from one merge of the two breakpoint
+    lists."""
+    xb, xv = xi.breakpoints, xi.values
+    eb, ev = eta.breakpoints, eta.values
+    nx, ne = len(xb), len(eb)
     pieces = []
-    for a, b in zip(breaks, breaks[1:]):
-        pieces.append((a, b, xi.value_at(a), eta.value_at(a)))
+    i = j = 0  # the breakpoints of xi and of eta at or left of the point a
+    a = u = v = None
+    while i < nx or j < ne:
+        if j == ne or (i < nx and xb[i] < eb[j]):
+            b = xb[i]
+            i += 1
+        elif i == nx or eb[j] < xb[i]:
+            b = eb[j]
+            j += 1
+        else:  # a shared breakpoint
+            b = xb[i]
+            i += 1
+            j += 1
+        if a is not None:
+            pieces.append((a, b, u, v))
+        # the piece that starts at b
+        a = b
+        u = xv[i - 1] if 0 < i < nx else _ZERO
+        v = ev[j - 1] if 0 < j < ne else _ZERO
     return pieces
 
 
 def subtract(xi: StepFunction, eta: StepFunction) -> StepFunction:
     pieces = refine(xi, eta)
-    return StepFunction(
-        tuple([pieces[0][0]] + [b for _, b, _, _ in pieces]),
+    return StepFunction._trusted(
+        (pieces[0][0], *[b for _, b, _, _ in pieces]),
         tuple(u - v for _, _, u, v in pieces),
     )
 
@@ -118,25 +158,38 @@ def inner_product(xi: StepFunction, eta: StepFunction) -> mpf:
 
 
 def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
-    """pi(g) xi with exact image breakpoints. The piece [a, b) of xi's
-    breakpoints merged with g's nodes maps to [g(a), g(b)), where g^{-1}
-    has the constant slope s = (b - a) / (g(b) - g(a)); its value is
-    v * s^{1/p}."""
-    p = check_exponent(p)
-    bps = xi.breakpoints
-    xs = set(bps)
-    if len(g.nodes) > 1:  # a pure translation has no slope changes
-        xs.update(x for x, _ in g.nodes if bps[0] < x < bps[-1])
-    xs = sorted(xs)
+    """pi(g) xi with exact image breakpoints. Merged with g's nodes, each
+    piece [a, b) of xi lies in one piece of g and maps to [g(a), g(b)),
+    where g^{-1} has a constant slope s (1 on the tails); the value there
+    is v * s^{1/p}. g is increasing, so the image breakpoints are too."""
+    r = 1 / check_exponent(p)
+    bps, vals = xi.breakpoints, xi.values
     gx, gy = zip(*g.nodes)
-    ys = evaluate_sorted(gx, gy, xs)
-    # the slope of g^{-1} on each [g(a), g(b))
-    slopes = piece_slopes(tuple(zip(ys, xs)))
-    values = []
-    for a, s in zip(xs, slopes):
-        v = xi.value_at(a)
-        values.append(v * to_real(s) ** (1 / p) if v != 0 else mpf(0))
-    return StepFunction(tuple(ys), tuple(values))
+    inv = tuple(zip(gy, gx))  # the nodes of g^{-1}
+    n = len(gx)
+    # k counts g's nodes at or left of the current point; a pure
+    # translation has no slope changes, so its node is never merged
+    k = bisect_right(gx, bps[0]) if n > 1 else n
+    xs, values = [bps[0]], []
+    last = root = None
+    for v, b in zip(vals, bps[1:]):
+        # xi is v on [xs[-1], b); each node of g inside ends one piece
+        while True:
+            if v == 0:
+                values.append(_ZERO)
+            else:
+                if k != last:  # one root per piece of g
+                    s = piece_slopes(inv[k - 1 : k + 1])[0] if 0 < k < n else 1
+                    root, last = to_real(s) ** r, k
+                values.append(v * root)
+            if k == n or gx[k] >= b:
+                break
+            xs.append(gx[k])
+            k += 1
+        xs.append(b)
+        if k < n and gx[k] == b:
+            k += 1
+    return StepFunction._trusted(tuple(evaluate_sorted(gx, gy, xs)), tuple(values))
 
 
 def koopman_distortion(g: PLHomeo, xi: StepFunction, p) -> mpf:
@@ -309,10 +362,10 @@ def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     out = []
     for v in xi.values:
         if v == 0:
-            out.append(mpf(0))
+            out.append(_ZERO)
         else:
             out.append(mpmath.sign(v) * abs(v) ** r)
-    return StepFunction(xi.breakpoints, tuple(out))
+    return StepFunction._trusted(xi.breakpoints, tuple(out))
 
 
 def normalize(xi: StepFunction, p) -> StepFunction:

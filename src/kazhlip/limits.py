@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
 from .groupact import GeneratorSet, Word, word_evaluate
+from .plmap import format_rational
 
 DEFAULT_CAUCHY_TOL = 1e-6
 LIP_TO_ONE_TOL = Fraction(1, 100)
@@ -142,7 +143,7 @@ class LimitDiagnostic:
 
     def to_obj(self) -> dict:
         return {
-            "base": str(self.base),
+            "base": format_rational(self.base, "base"),
             "verdict": self.verdict,
             "lip_to_one": dict(self.lip_to_one),
             "estimates": {w: float(v) for w, v in self.estimates},
@@ -150,9 +151,10 @@ class LimitDiagnostic:
             "stages": [
                 {
                     "index": rec.index,
-                    "max_lip": str(rec.max_lip),
-                    "max_disp_after_normalization": str(
-                        rec.max_disp_after_normalization
+                    "max_lip": format_rational(rec.max_lip, f"stages[{rec.index}].max_lip"),
+                    "max_disp_after_normalization": format_rational(
+                        rec.max_disp_after_normalization,
+                        f"stages[{rec.index}].max_disp_after_normalization",
                     ),
                     "attaining_label": rec.attaining_label,
                     "word_values": {w: float(v) for w, v in rec.word_values},

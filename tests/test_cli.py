@@ -43,6 +43,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_process(*argv):
+    """The CLI in a child process, so that a traceback shows on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(kazhlip.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "kazhlip.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def assert_clean_exit_1(proc, field):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and field in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestPhiCommands:
     def test_phi_value(self, capsys):
         code, out, _ = run(capsys, "phi", "1.0")
@@ -262,19 +277,22 @@ class TestGroupCommands:
         path.write_text(json.dumps({"name": "x", "generators": [
             {"label": "a", "map": {"nodes": [["0", "0"], ["1", "1e4300"]]}}
         ]}))
-        env = {**os.environ, "PYTHONPATH": str(Path(kazhlip.__file__).parents[1])}
         for argv, field in (
             (["lip"], "per_generator[0].lip"),
             (["bound"], "L:"),
             (["bound", "--format", "json"], "per_generator[0].lip"),
         ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "kazhlip.cli", *argv, str(path)],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
-            assert proc.returncode == 1, proc.stderr
-            assert "Traceback" not in proc.stderr and field in proc.stderr
-            assert proc.stdout == ""
+            assert_clean_exit_1(run_process(*argv, str(path)), field)
+
+    def test_fixed_point_over_digit_limit_exit_1(self, tmp_path):
+        # The fixed ray [10^4300, +inf) has an endpoint of 4,301 digits.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "x", "generators": [
+            {"label": "a", "map": {"nodes": [["0", "1"], ["1e4300", "1e4300"]]}}
+        ]}))
+        for fmt in ("text", "json"):
+            proc = run_process("fixed-points", str(path), "--format", fmt)
+            assert_clean_exit_1(proc, "fixed_set")
 
 
 class TestLimitDiag:
@@ -299,6 +317,20 @@ class TestLimitDiag:
                         '[{"label": "g", "map": {"nodes": [[%s, 1]]}}]}]}' % ("7" * 5000))
         code, out, err = run(capsys, "limit-diag", str(path))
         assert code == 2 and "action_sequence" in err and out == ""
+
+    def test_rational_over_digit_limit_exit_1(self, tmp_path):
+        # The stage's Lipschitz constant 10^4300 has 4,301 digits, and so
+        # does the base point 10^4300.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"labels": ["g"], "stages": [{"name": "s", "generators": [
+            {"label": "g", "map": {"nodes": [["0", "0"], ["1", "1e4300"]]}}
+        ]}]}))
+        assert_clean_exit_1(run_process("limit-diag", str(path)), "stages[0].max_lip")
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"labels": ["g"], "stages": [{"name": "s", "generators": [
+            {"label": "g", "map": {"nodes": [["0", "1"], ["1", "2"]]}}
+        ]}]}))
+        assert_clean_exit_1(run_process("limit-diag", str(small), "--base", "1e4300"), "base")
 
 
 class TestVerifyAndDeterminism:

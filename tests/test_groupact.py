@@ -105,6 +105,40 @@ class TestBall:
         with pytest.raises(DomainError):
             ball(gens(("t", T1)), -1)
 
+    def test_no_step_back_to_the_parent(self, monkeypatch):
+        S = gens(("a", BUMP_A), ("t", T1))
+        steps = [
+            (("a", 1), BUMP_A), (("a", -1), BUMP_A.invert()), (("t", 1), T1), (("t", -1), T1.invert())
+        ]
+        # oracle: breadth-first search that composes every element with every step
+        seen = {PLHomeo.identity().nodes: (PLHomeo.identity(), Word(()))}
+        frontier = list(seen.values())
+        for _ in range(4):
+            nxt = []
+            for elem, word in frontier:
+                for letter, g in steps:
+                    new = elem.compose(g)
+                    if new.nodes not in seen:
+                        seen[new.nodes] = (new, Word(word.letters + (letter,)))
+                        nxt.append(seen[new.nodes])
+            frontier = nxt
+        want = sorted(seen.values(), key=lambda e: (len(e[1]), e[0].nodes))
+
+        calls = []
+        compose = PLHomeo.compose
+
+        def counting(f, g):
+            calls.append((f, g))
+            return compose(f, g)
+
+        monkeypatch.setattr(PLHomeo, "compose", counting)
+        got = ball(S, 4)
+        assert [(e.nodes, w.letters) for e, w in got] == [(e.nodes, w.letters) for e, w in want]
+        # the identity takes all four steps; every other element inside
+        # radius 3 skips the one that undoes its last letter
+        inner = sum(1 for _, w in got if 0 < len(w) < 4)
+        assert len(calls) == 4 + 3 * inner
+
 
 class TestGlobalFixedSet:
     def test_identity_only(self):

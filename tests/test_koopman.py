@@ -39,6 +39,16 @@ def brute_force_lp(xi, p, grid=10000):
     return total ** (1 / mpf(p))
 
 
+def assert_pointwise(g, xi, p, out):
+    """(pi(g) xi)(x) = xi(g^{-1}(x)) (Dg^{-1}(x))^{1/p}, read at each
+    output piece's midpoint through the inverse map."""
+    ginv = g.invert()
+    assert out.support == (g(xi.support[0]), g(xi.support[1]))
+    for a, b, v in zip(out.breakpoints, out.breakpoints[1:], out.values):
+        mid = (a + b) / 2
+        assert v == xi.value_at(ginv(mid)) * to_real(ginv.slope_at(mid)) ** (1 / mpf(p))
+
+
 class TestLpNorm:
     def test_unit_indicator(self):
         for p in (1, 2, 3.5, 16):
@@ -103,20 +113,12 @@ class TestKoopmanApply:
             assert all(abs(u - v) == 0 for u, v in zip(out.values, xi.values))
 
     def test_matches_pointwise_definition(self):
-        # (pi(g) xi)(x) = xi(g^{-1}(x)) (Dg^{-1}(x))^{1/p}, read at each
-        # output piece's midpoint through the inverse map
         rng = random.Random(19)
         for _ in range(50):
             g = random_plhomeo(rng, max_nodes=5, max_mag=40)
             xi = random_step_function(rng)
             p = rng.choice([1, 2, 3, 16])
-            ginv = g.invert()
-            out = koopman_apply(g, xi, p)
-            assert out.support == (g(xi.support[0]), g(xi.support[1]))
-            for a, b, v in zip(out.breakpoints, out.breakpoints[1:], out.values):
-                mid = (a + b) / 2
-                want = xi.value_at(ginv(mid)) * to_real(ginv.slope_at(mid)) ** (1 / mpf(p))
-                assert v == want
+            assert_pointwise(g, xi, p, koopman_apply(g, xi, p))
 
     def test_isometry_random(self):
         rng = random.Random(13)
@@ -336,3 +338,74 @@ class TestWindowDistortion:
                         want = koopman_distortion(g, window_vector(n, p), p)
                         got = (profile.scaled_power(wm.cut(n)) / to_real(2 * n)) ** (1 / mpf(p))
                         assert abs(got - want) <= rel * want, (g.nodes, p, n, got, want)
+
+
+# Results that koopman.py builds without validation must be exactly what the
+# validating constructor would build from the same fields.
+
+points = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=4))
+step_values = st.one_of(st.just(0), st.floats(-5, 5).map(lambda v: mpf(repr(v))))
+
+
+@st.composite
+def step_functions(draw, shared=()):
+    """A step function whose breakpoints are ints and Fractions, some of
+    them drawn from `shared`."""
+    source = st.one_of(st.sampled_from(shared), points) if shared else points
+    bps = sorted(draw(st.lists(source, min_size=2, max_size=7, unique=True)))
+    return StepFunction(tuple(bps), tuple(draw(step_values) for _ in bps[1:]))
+
+
+@st.composite
+def step_pairs(draw):
+    """Two step functions that overlap, are disjoint or share endpoints."""
+    shared = draw(st.lists(points, max_size=4, unique=True))
+    return draw(step_functions(shared)), draw(step_functions(shared))
+
+
+@st.composite
+def pl_maps(draw):
+    if draw(st.booleans()):
+        return PLHomeo.translation(draw(points))
+    xs = sorted(draw(st.lists(points, min_size=1, max_size=5, unique=True)))
+    ys = sorted(draw(st.lists(points, min_size=len(xs), max_size=len(xs), unique=True)))
+    return PLHomeo(tuple(zip(xs, ys)))
+
+
+def refine_oracle(xi, eta):
+    breaks = sorted(set(xi.breakpoints) | set(eta.breakpoints))
+    return [(a, b, xi.value_at(a), eta.value_at(a)) for a, b in zip(breaks, breaks[1:])]
+
+
+def assert_validated(r):
+    """StepFunction(r.breakpoints, r.values) has r's fields, to the type."""
+    v = StepFunction(r.breakpoints, r.values)
+    assert v == r
+    assert [type(x) for x in r.breakpoints] == [type(x) for x in v.breakpoints]
+    assert [type(x) for x in r.values] == [type(x) for x in v.values]
+
+
+class TestTrustedResults:
+    @settings(max_examples=200, deadline=None)
+    @given(step_pairs())
+    def test_refine_matches_oracle(self, pair):
+        xi, eta = pair
+        assert refine(xi, eta) == refine_oracle(xi, eta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_maps(), step_pairs(), st.sampled_from((1, 2, 3, 16)))
+    def test_results_are_valid(self, g, pair, p):
+        xi, eta = pair
+        out = koopman_apply(g, xi, p)
+        assert_validated(out)
+        assert_pointwise(g, xi, p, out)
+        assert_validated(subtract(xi, eta))
+        assert_validated(xi.scale(F(-3, 7)))
+        assert_validated(mazur_map(xi, 2, p))
+        if any(xi.values):
+            assert_validated(normalize(xi, p))
+
+    @pytest.mark.parametrize("c", [mpf("inf"), mpf("-inf"), mpf("nan")])
+    def test_scale_rejects_non_finite(self, c):
+        with pytest.raises(DomainError):
+            StepFunction.indicator(0, 1).scale(c)
