@@ -24,11 +24,9 @@ from .errors import (
 )
 from .groupact import (
     GeneratorSet,
-    OrbitSample,
     Word,
     ball,
     global_fixed_set,
-    orbit_sample,
     word_evaluate,
 )
 from .intervals import IntervalUnion

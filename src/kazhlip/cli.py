@@ -8,8 +8,6 @@ to interpret them as certified bounds fails (a global fixed point exists).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -142,16 +140,12 @@ def cmd_fixed_points(args) -> int:
     return EXIT_OK
 
 
-def _run_bound(args):
+def cmd_bound(args) -> int:
+    """`bound`, and `sweep`, which is `bound --format csv`."""
     S = _load_group(args.input)
     p_list = _parse_plist(args.p) if args.p else None
     schedule = _parse_schedule(args.schedule) if args.schedule else None
     report = bounds.bound_report(S, p_list=p_list, n_schedule=schedule)
-    return report
-
-
-def cmd_bound(args) -> int:
-    report = _run_bound(args)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
     elif args.format == "json":
@@ -171,12 +165,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK if report.hypothesis_ok else EXIT_HYPOTHESIS
 
 
-def cmd_sweep(args) -> int:
-    report = _run_bound(args)
-    _emit(report.to_csv(), args.out)
-    return EXIT_OK if report.hypothesis_ok else EXIT_HYPOTHESIS
-
-
 def cmd_limit_diag(args) -> int:
     seq = limits.ActionSequence.from_json(_read_file(args.input))
     words = [Word.parse(tok) for tok in (args.words or "").split(",") if tok.strip()]
@@ -184,19 +172,8 @@ def cmd_limit_diag(args) -> int:
         words = [Word(((lab, 1),)) for lab in seq.labels]
     base = parse_rational(args.base, "base")
     diag = limits.limit_translation_diagnostic(seq, words, base, cauchy_tol=args.tol)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["stage", "word", "value", "defect_vs_estimate"])
-        est = dict(diag.estimates)
-        for rec in diag.stages:
-            for w, v in rec.word_values:
-                writer.writerow(
-                    [rec.index, w, float(v), float(abs(v - est[w]))]
-                )
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps(diag.to_obj(), indent=2), args.out)
+    text = diag.to_csv() if args.format == "csv" else json.dumps(diag.to_obj(), indent=2)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -260,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_fixed_points)
 
-    for name, help_text, func, fmts in (
-        ("bound", "Kazhdan upper-bound report", cmd_bound, ("text", "json", "csv")),
-        ("sweep", "per-(p, n) sweep as CSV", cmd_sweep, ("csv",)),
+    for name, help_text, fmts in (
+        ("bound", "Kazhdan upper-bound report", ("text", "json", "csv")),
+        ("sweep", "per-(p, n) sweep as CSV", ("csv",)),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input")
@@ -271,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--schedule", default=None, help="comma-separated window radii n"
         )
         common(p, fmts)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("limit-diag", help="limit-translation diagnostics for a stage sequence")
     p.add_argument("input")

@@ -1,10 +1,10 @@
-"""Finitely generated subgroups of the PL model: words, Cayley balls,
-global fixed points and orbit samples."""
+"""Finitely generated subgroups of the PL model: words, Cayley balls and
+global fixed points."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -214,25 +214,3 @@ def global_fixed_set(S: GeneratorSet) -> IntervalUnion:
         if out.is_empty:
             break
     return out
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    base: Fraction
-    points: Tuple[Fraction, ...]
-    minimum: Fraction = field(init=False)
-    maximum: Fraction = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "minimum", min(self.points))
-        object.__setattr__(self, "maximum", max(self.points))
-
-
-def orbit_sample(
-    S: GeneratorSet, x, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> OrbitSample:
-    """{w . x : |w| <= radius} with extremes; diagnostic evidence of orbit
-    unboundedness when the global fixed set is empty."""
-    x = Fraction(x)
-    pts = sorted({elem.evaluate(x) for elem, _ in ball(S, radius, cap)})
-    return OrbitSample(base=x, points=tuple(pts))

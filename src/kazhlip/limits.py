@@ -16,17 +16,29 @@ non-convergent input is reported as such rather than forced to a limit.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, ResourceLimitError, SchemaError
 from .groupact import GeneratorSet, Word, word_evaluate
 from .plmap import format_rational
 
 DEFAULT_CAUCHY_TOL = 1e-6
 LIP_TO_ONE_TOL = Fraction(1, 100)
+
+
+def to_float(q: Fraction, path: str) -> float:
+    """The float nearest to an exact rational. A value beyond the float
+    range raises ResourceLimitError, naming the field at `path`."""
+    try:
+        return float(q)
+    except OverflowError as exc:
+        raise ResourceLimitError(f"{path}: the exact value is beyond the float range") from exc
 
 
 def normalize_stage(S: GeneratorSet) -> GeneratorSet:
@@ -49,6 +61,15 @@ def normalize_stage(S: GeneratorSet) -> GeneratorSet:
     )
 
 
+def _is_letter(label: str) -> bool:
+    """True when `label` prints as a word no other word prints as: Word.parse
+    reads it back as that one letter, and it is not "e", the empty word."""
+    try:
+        return label != "e" and Word.parse(label).letters == ((label, 1),)
+    except SchemaError:  # a label such as "^-1" parses to an empty letter
+        return False
+
+
 @dataclass(frozen=True)
 class ActionSequence:
     labels: Tuple[str, ...]
@@ -57,6 +78,12 @@ class ActionSequence:
     def __post_init__(self):
         if not self.stages:
             raise DomainError("an action sequence needs at least one stage")
+        for i, label in enumerate(self.labels):
+            if not _is_letter(label):
+                raise DomainError(
+                    f"labels[{i}]: label {label!r} must read back as a one-letter word "
+                    "(no spaces, ',' or '*', no trailing ^-1 or ', and not 'e')"
+                )
         for i, stage in enumerate(self.stages):
             if tuple(stage.labels) != tuple(self.labels):
                 raise DomainError(
@@ -107,13 +134,6 @@ def lip_trend(seq: ActionSequence) -> Dict[str, List[Tuple[int, Fraction]]]:
     return out
 
 
-def lip_trend_flags(seq: ActionSequence) -> Dict[str, bool]:
-    """Per label: True when the last-stage Lip is within LIP_TO_ONE_TOL of 1
-    (the hypothesis lim Lip = 1 is plausibly observed)."""
-    trend = lip_trend(seq)
-    return {lab: values[-1][1] - 1 <= LIP_TO_ONE_TOL for lab, values in trend.items()}
-
-
 @dataclass(frozen=True)
 class StageRecord:
     index: int
@@ -146,7 +166,7 @@ class LimitDiagnostic:
             "base": format_rational(self.base, "base"),
             "verdict": self.verdict,
             "lip_to_one": dict(self.lip_to_one),
-            "estimates": {w: float(v) for w, v in self.estimates},
+            "estimates": {w: to_float(v, f"estimates[{w!r}]") for w, v in self.estimates},
             "cauchy_ok": dict(self.cauchy_ok),
             "stages": [
                 {
@@ -157,7 +177,10 @@ class LimitDiagnostic:
                         f"stages[{rec.index}].max_disp_after_normalization",
                     ),
                     "attaining_label": rec.attaining_label,
-                    "word_values": {w: float(v) for w, v in rec.word_values},
+                    "word_values": {
+                        w: to_float(v, f"stages[{rec.index}].word_values[{w!r}]")
+                        for w, v in rec.word_values
+                    },
                 }
                 for rec in self.stages
             ],
@@ -165,15 +188,39 @@ class LimitDiagnostic:
                 {
                     "left": d.left,
                     "right": d.right,
-                    "estimate_defect": float(d.estimate_defect),
+                    "estimate_defect": to_float(
+                        d.estimate_defect, f"defects[{k}].estimate_defect"
+                    ),
                     "per_stage": [
-                        {"stage": i, "defect": float(df), "bound": float(bd)}
+                        {
+                            "stage": i,
+                            "defect": to_float(df, f"defects[{k}].per_stage[{i}].defect"),
+                            "bound": to_float(bd, f"defects[{k}].per_stage[{i}].bound"),
+                        }
                         for i, df, bd in d.per_stage
                     ],
                 }
-                for d in self.defects
+                for k, d in enumerate(self.defects)
             ],
         }
+
+    def to_csv(self) -> str:
+        """One row per stage and word: its value and its distance from the
+        last-stage estimate."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["stage", "word", "value", "defect_vs_estimate"])
+        est = dict(self.estimates)
+        for rec in self.stages:
+            path = f"stages[{rec.index}]"
+            for w, v in rec.word_values:
+                writer.writerow([
+                    rec.index,
+                    w,
+                    to_float(v, f"{path}.word_values[{w!r}]"),
+                    to_float(abs(v - est[w]), f"{path}.defect_vs_estimate[{w!r}]"),
+                ])
+        return buf.getvalue()
 
 
 def limit_translation_diagnostic(
@@ -191,76 +238,56 @@ def limit_translation_diagnostic(
     the translation-additivity defect |T_n(vw) - T_n(v) - T_n(w)|, which is
     bounded by (Lip(theta_n(v)) - 1) * |T_n(w)| and tends to 0 exactly when
     the limit action is by translations."""
+    if not (math.isfinite(cauchy_tol) and cauchy_tol >= 0):
+        raise DomainError(f"the Cauchy tolerance must be finite and >= 0, got {cauchy_tol}")
     base = Fraction(base)
     for w in words:
         for label, _ in w.letters:
             if label not in seq.labels:
                 raise DomainError(f"word letter {label!r} not in alphabet {seq.labels}")
 
-    normalized = tuple(normalize_stage(s) for s in seq.stages)
-
-    pairs = [(v, w) for v in words for w in words]
-    all_words: List[Word] = []
-    seen = set()
-    for w in list(words) + [v.concat(w) for v, w in pairs]:
-        if str(w) not in seen:
-            seen.add(str(w))
-            all_words.append(w)
-
-    # exact stage data
+    factors = list(dict.fromkeys(words))
+    pairs = [(v, w, v.concat(w)) for v in words for w in words]
+    values: Dict[Word, List[Fraction]] = {}
+    per_stage: List[List[Tuple[int, Fraction, Fraction]]] = [[] for _ in pairs]
     stage_records: List[StageRecord] = []
-    values: Dict[str, List[Fraction]] = {str(w): [] for w in all_words}
-    stage_lips: List[Dict[str, Fraction]] = []
-    for i, stage in enumerate(normalized):
-        elems = {str(w): word_evaluate(w, stage) for w in all_words}
-        word_vals = []
-        for w in all_words:
-            t = elems[str(w)].evaluate(base) - base
-            values[str(w)].append(t)
-            word_vals.append((str(w), t))
-        disp = [(lab, g.displacement()) for lab, g in stage.generators]
-        attaining = max(disp, key=lambda pair: pair[1])[0]
-        # Lip of each word's element, for the defect bound
-        stage_lips.append({str(w): elems[str(w)].lip_constant() for w in all_words})
+    for i, stage in enumerate(normalize_stage(s) for s in seq.stages):
+        # Canonical nodes are unique, so the product v w is one compose.
+        elems = {w: word_evaluate(w, stage) for w in factors}
+        for v, w, vw in pairs:
+            if vw not in elems:
+                elems[vw] = elems[v].compose(elems[w])
+        t = {w: g.evaluate(base) - base for w, g in elems.items()}
+        for w, tw in t.items():
+            values.setdefault(w, []).append(tw)
+        # The defect bound reads the Lipschitz constants of left factors only.
+        lips = {v: elems[v].lip_constant() for v in factors}
+        for rows, (v, w, vw) in zip(per_stage, pairs):
+            rows.append((i, abs(t[vw] - t[v] - t[w]), (lips[v] - 1) * abs(t[w])))
+        gen_lips = {lab: g.lip_constant() for lab, g in stage.generators}
+        attaining, max_disp = max(
+            ((lab, g.displacement()) for lab, g in stage.generators), key=lambda pair: pair[1]
+        )
         stage_records.append(
             StageRecord(
                 index=i,
-                max_lip=stage.max_lip(),
-                max_disp_after_normalization=stage.max_displacement(),
+                max_lip=max(gen_lips.values()),
+                max_disp_after_normalization=max_disp,
                 attaining_label=attaining,
-                word_values=tuple(word_vals),
+                word_values=tuple((str(w), tw) for w, tw in t.items()),
             )
         )
 
-    estimates = tuple((str(w), values[str(w)][-1]) for w in all_words)
-    est = dict(estimates)
-
-    cauchy = []
-    for w in all_words:
-        vals = values[str(w)]
-        ok = len(vals) >= 2 and abs(float(vals[-1] - vals[-2])) <= cauchy_tol
-        cauchy.append((str(w), ok))
-
-    defects = []
-    for v, w in pairs:
-        vw = v.concat(w)
-        per_stage = []
-        for i in range(len(normalized)):
-            tv, tw = values[str(v)][i], values[str(w)][i]
-            tvw = values[str(vw)][i]
-            defect = abs(tvw - tv - tw)
-            bound = (stage_lips[i][str(v)] - 1) * abs(tw)
-            per_stage.append((i, defect, bound))
-        defects.append(
-            PairDefect(
-                left=str(v),
-                right=str(w),
-                estimate_defect=abs(est[str(vw)] - est[str(v)] - est[str(w)]),
-                per_stage=tuple(per_stage),
-            )
-        )
-
-    flags = lip_trend_flags(seq)
+    cauchy = tuple(
+        (str(w), len(vals) >= 2 and abs(float(vals[-1] - vals[-2])) <= cauchy_tol)
+        for w, vals in values.items()
+    )
+    defects = tuple(
+        PairDefect(left=str(v), right=str(w), estimate_defect=rows[-1][1], per_stage=tuple(rows))
+        for rows, (v, w, _) in zip(per_stage, pairs)
+    )
+    # Lipschitz constants are invariant under the normalizing conjugation.
+    flags = {lab: lip - 1 <= LIP_TO_ONE_TOL for lab, lip in gen_lips.items()}
     problems = []
     if not all(flags.values()):
         bad = sorted(lab for lab, ok in flags.items() if not ok)
@@ -274,9 +301,9 @@ def limit_translation_diagnostic(
     return LimitDiagnostic(
         base=base,
         stages=tuple(stage_records),
-        estimates=estimates,
-        cauchy_ok=tuple(cauchy),
-        defects=tuple(defects),
+        estimates=tuple((str(w), vals[-1]) for w, vals in values.items()),
+        cauchy_ok=cauchy,
+        defects=defects,
         lip_to_one=flags,
         verdict=verdict,
     )

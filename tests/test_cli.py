@@ -333,6 +333,35 @@ class TestLimitDiag:
         assert_clean_exit_1(run_process("limit-diag", str(small), "--base", "1e4300"), "base")
 
 
+    def test_bound_beyond_float_range_exit_1(self, capsys, tmp_path):
+        # The defect bound (Lip - 1) |T(g)| = 10^400 - 1 at base 1.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"labels": ["g"], "stages": [{"name": "s", "generators": [
+            {"label": "g", "map": {"nodes": [["0", "0"], ["1", "1e400"]]}}
+        ]}]}))
+        code, out, err = run(capsys, "limit-diag", str(path), "--base", "1", "--format", "json")
+        assert code == 1 and "defects[0].per_stage[0].bound" in err and out == ""
+
+    @pytest.mark.parametrize("labels", [["g", "g g"], ["e", "g"]])
+    def test_label_printed_like_another_word_exit_2(self, capsys, tmp_path, labels):
+        # "g g" prints like the product g g, and "e" like the empty word.
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"labels": labels, "stages": [{"name": "s", "generators": [
+            {"label": lab, "map": {"nodes": [["0", "1"]]}} for lab in labels
+        ]}]}))
+        code, out, err = run(capsys, "limit-diag", str(path), "--words", "g,g^-1")
+        assert code == 2 and "action_sequence" in err and "labels[" in err and out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-6", "inf"])
+    def test_tolerance_outside_domain_exit_1(self, capsys, tmp_path, tol):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"labels": ["g"], "stages": [{"name": "s", "generators": [
+            {"label": "g", "map": {"nodes": [["0", "1"]]}}
+        ]}]}))
+        code, out, err = run(capsys, "limit-diag", str(path), f"--tol={tol}")
+        assert code == 1 and "tolerance" in err and out == ""
+
+
 class TestVerifyAndDeterminism:
     def test_verify_group_axioms(self, capsys):
         code, out, _ = run(capsys, "verify", "group-axioms")

@@ -14,7 +14,6 @@ from kazhlip import (
     Word,
     ball,
     global_fixed_set,
-    orbit_sample,
     word_evaluate,
 )
 
@@ -155,37 +154,6 @@ class TestGlobalFixedSet:
             [(None, F(0)), (F(2), F(5)), (F(7), None)]
         )
         assert global_fixed_set(S) == expected
-
-
-class TestOrbitSample:
-    def test_translation_orbit(self):
-        S = gens(("t", T1))
-        sample = orbit_sample(S, 0, 3)
-        assert sample.points == tuple(F(k) for k in range(-3, 4))
-        assert (sample.minimum, sample.maximum) == (-3, 3)
-
-    def test_fixed_point_orbit_is_singleton(self):
-        S = gens(("a", BUMP_A), ("b", BUMP_B))
-        x = F(3)  # inside the common fixed set [2, 5]
-        assert global_fixed_set(S).contains(x)
-        sample = orbit_sample(S, x, 3)
-        assert sample.points == (x,)
-
-    def test_bump_orbit_exact(self):
-        S = gens(("f", BUMP_A))
-        f = BUMP_A
-        expected = sorted(
-            {
-                f.invert().evaluate(f.invert().evaluate(1)),
-                f.invert().evaluate(1),
-                F(1),
-                f.evaluate(1),
-                f.evaluate(f.evaluate(1)),
-            }
-        )
-        sample = orbit_sample(S, 1, 2)
-        assert list(sample.points) == expected
-        assert sample.minimum == F(4, 9) and sample.maximum == F(7, 4)
 
 
 class TestGeneratorSet:

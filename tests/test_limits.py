@@ -135,9 +135,31 @@ class TestLimitDiagnostic:
         with pytest.raises(DomainError):
             limit_translation_diagnostic(seq, [Word((("z", 1),))])
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+    def test_tolerance_outside_domain(self, tol):
+        seq = ActionSequence(("g",), (translation_stage(1), translation_stage(2)))
+        with pytest.raises(DomainError, match="tolerance"):
+            limit_translation_diagnostic(seq, [G], cauchy_tol=tol)
+
     def test_json_round_trip(self):
         seq = ActionSequence(("g",), tuple(stage(2**k) for k in range(1, 4)))
         again = ActionSequence.from_json(
             __import__("json").dumps(seq.to_obj())
         )
         assert again == seq
+
+
+class TestLabels:
+    def two_label_seq(self, label):
+        half = PLHomeo.translation(F(1, 2))
+        S = GeneratorSet("s", (("g", PLHomeo.translation(1)), (label, half)))
+        return ActionSequence(("g", label), (S,))
+
+    @pytest.mark.parametrize("label", ["g g", "e", "g^-1", "h'", "a,b", "a*b", "^-1", ""])
+    def test_label_not_read_back_rejected(self, label):
+        # "g g" would print like the product g g, and "e" like the empty word.
+        with pytest.raises(DomainError, match=r"labels\[1\]"):
+            self.two_label_seq(label)
+
+    def test_identifier_labels_accepted(self):
+        assert self.two_label_seq("h_2").labels == ("g", "h_2")
