@@ -275,6 +275,23 @@ def default_p_list(L: Fraction) -> List[int]:
     return [p for p in (2, 4, 8, 16, 32, 64) if p > logL]
 
 
+def lipschitz_obj(per_generator: Sequence[Tuple[str, Fraction, Fraction]], L, M) -> dict:
+    """The exact strings of each generator's (label, Lip, displacement) and
+    of their maxima L and M, as `bound` and `lip` print them."""
+    return {
+        "per_generator": [
+            {
+                "label": lab,
+                "lip": format_rational(lip, f"per_generator[{i}].lip"),
+                "displacement": format_rational(disp, f"per_generator[{i}].displacement"),
+            }
+            for i, (lab, lip, disp) in enumerate(per_generator)
+        ],
+        "L": format_rational(L, "L"),
+        "M": format_rational(M, "M"),
+    }
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All Kazhdan upper-bound data for one generating set."""
@@ -300,16 +317,7 @@ class BoundReport:
             "group_name": self.group_name,
             "label_hash": self.label_hash(),
             "hypothesis_ok": self.hypothesis_ok,
-            "per_generator": [
-                {
-                    "label": lab,
-                    "lip": format_rational(lip, f"per_generator[{i}].lip"),
-                    "displacement": format_rational(disp, f"per_generator[{i}].displacement"),
-                }
-                for i, (lab, lip, disp) in enumerate(self.per_generator)
-            ],
-            "L": format_rational(self.L, "L"),
-            "M": format_rational(self.M, "M"),
+            **lipschitz_obj(self.per_generator, self.L, self.M),
             "lemma41_bound": real_str(self.lemma41_bound),
             "lemma43_bound": real_str(self.lemma43_bound),
             "phi_inv_of_L": real_str(self.phi_inv_of_L),

@@ -3,12 +3,17 @@
 Exit codes: 0 success, 1 domain error, 2 parse/schema error, 3 from
 `bound` and `sweep` when the numbers were computed but a hypothesis needed
 to interpret them as certified bounds fails (a global fixed point exists).
+
+Real arguments (`t`, `--p`, `--grid`) are read as mpf at the working
+precision, rationals (`--schedule`, `--base`) exactly. Each `main` call
+runs at its own precision, which ends with the call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,8 +22,8 @@ from mpmath import mpf
 from . import bounds, figures, limits, verify
 from .errors import DomainError, ResourceLimitError, SchemaError
 from .groupact import GeneratorSet, Word, global_fixed_set
-from .plmap import format_rational, parse_rational
-from .precision import env_precision, real_str, set_precision
+from .plmap import check_decimal_exponent, format_rational, parse_rational
+from .precision import DEFAULT_DIGITS, env_precision, precision, real_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -44,45 +49,39 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_schedule(text: str):
-    return [parse_rational(tok.strip(), "schedule") for tok in text.split(",") if tok.strip()]
-
-
-def _parse_plist(text: str):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(float(tok))
-        except ValueError as exc:
-            raise SchemaError(f"invalid exponent {tok!r}", "p") from exc
-    return out
-
-
-def cmd_phi(args) -> int:
-    _emit(real_str(bounds.phi(args.t)), args.out)
-    return EXIT_OK
-
-
-def cmd_phi_inv(args) -> int:
-    _emit(real_str(bounds.phi_inv(args.t)), args.out)
-    return EXIT_OK
-
-
-def _parse_grid(text: str):
-    fields = text.split(":")
-    if len(fields) != 3:
-        raise SchemaError(f"expected start:end:step, got {text!r}", "--grid")
+def _real(text: str, path: str) -> mpf:
+    """A real argument read at the working precision, its decimal exponent
+    capped as for rationals."""
+    check_decimal_exponent(text, path)
     try:
-        return [mpf(tok.strip()) for tok in fields]
-    except ValueError as exc:
-        raise SchemaError(f"invalid number in {text!r}", "--grid") from exc
+        return mpf(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    # float also reads "Infinity" and a signed "nan", which a double holds exactly
+    try:
+        if not math.isfinite(value := float(text)):
+            return mpf(value)
+    except ValueError:
+        pass
+    raise SchemaError(f"invalid real number {text.strip()[:40]!r}", path)
+
+
+def _list(text: str, read, path: str):
+    """The comma-separated values of an option, each read by `read`."""
+    return [read(tok.strip(), path) for tok in text.split(",") if tok.strip()]
+
+
+def cmd_value(args) -> int:
+    """`phi` and `phi-inv`."""
+    _emit(real_str(args.function(_real(args.t, "t"))), args.out)
+    return EXIT_OK
 
 
 def cmd_phi_table(args) -> int:
-    grid = () if args.grid is None else _parse_grid(args.grid)
+    fields = [] if args.grid is None else args.grid.split(":")
+    if len(fields) not in (0, 3):
+        raise SchemaError(f"expected start:end:step, got {args.grid!r}", "--grid")
+    grid = [_real(tok, "--grid") for tok in fields]
     if args.which == "phi-branches":
         table = figures.phi_branch_table(*grid)
     else:
@@ -96,25 +95,16 @@ def cmd_phi_table(args) -> int:
 
 def cmd_lip(args) -> int:
     S = _load_group(args.input)
-    rows = [
-        {
-            "label": lab,
-            "lip": format_rational(g.lip_constant(), f"per_generator[{i}].lip"),
-            "displacement": format_rational(g.displacement(), f"per_generator[{i}].displacement"),
-        }
-        for i, (lab, g) in enumerate(S.generators)
-    ]
+    per_generator = [(lab, g.lip_constant(), g.displacement()) for lab, g in S.generators]
     payload = {
         "group_name": S.name,
-        "per_generator": rows,
-        "L": format_rational(S.max_lip(), "L"),
-        "M": format_rational(S.max_displacement(), "M"),
+        **bounds.lipschitz_obj(per_generator, S.max_lip(), S.max_displacement()),
     }
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = [f"group: {S.name}"]
-        for row in rows:
+        for row in payload["per_generator"]:
             lines.append(
                 f"  {row['label']}: Lip = {row['lip']}, displacement = {row['displacement']}"
             )
@@ -143,8 +133,8 @@ def cmd_fixed_points(args) -> int:
 def cmd_bound(args) -> int:
     """`bound`, and `sweep`, which is `bound --format csv`."""
     S = _load_group(args.input)
-    p_list = _parse_plist(args.p) if args.p else None
-    schedule = _parse_schedule(args.schedule) if args.schedule else None
+    p_list = _list(args.p, _real, "p") if args.p else None
+    schedule = _list(args.schedule, parse_rational, "schedule") if args.schedule else None
     report = bounds.bound_report(S, p_list=p_list, n_schedule=schedule)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
@@ -207,15 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--format", default=fmt_choices[0], choices=fmt_choices)
 
-    p = sub.add_parser("phi", help="evaluate the lower-bound function phi(t)")
-    p.add_argument("t", type=float)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("phi-inv", help="evaluate phi^{-1}(t)")
-    p.add_argument("t", type=float)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_phi_inv)
+    for name, help_text, function in (
+        ("phi", "evaluate the lower-bound function phi(t)", bounds.phi),
+        ("phi-inv", "evaluate phi^{-1}(t)", bounds.phi_inv),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("t")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_value, function=function)
 
     p = sub.add_parser("phi-table", help="emit branch tables for the bound functions")
     p.add_argument(
@@ -263,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=("group-axioms", "koopman", "mazur", "lemmas", "all"),
+        choices=(*verify.SUITES, "all"),
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -272,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        digits = env_precision() if args.precision is None else args.precision
-        if digits is not None:
-            set_precision(digits)
-        return args.func(args)
+        digits = args.precision
+        if digits is None:
+            digits = env_precision() or DEFAULT_DIGITS
+        with precision(digits):
+            return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,8 +26,8 @@ GRID_MAX_POINTS = 100_000
 
 @dataclass(frozen=True)
 class BranchTable:
-    which: str                      # "phi-branches" or "phi-inv-branches"
     header: Tuple[str, ...]
+    legend: Tuple[str, str]         # the two branches, as the SVG labels them
     rows: Tuple[Tuple[mpf, mpf, mpf, mpf], ...]  # (t, branch1, branch2, combined)
     crossover_t: mpf
     crossover_value: mpf
@@ -63,23 +63,25 @@ def _grid(start, end, step) -> List[mpf]:
     return out
 
 
+def _branch_table(grid, branches, combine, header, legend, crossover) -> BranchTable:
+    rows = []
+    for t in grid:
+        b1, b2 = branches(t)
+        rows.append((t, b1, b2, combine(b1, b2)))
+    return BranchTable(header, legend, tuple(rows), *crossover)
+
+
 def phi_branch_table(start=0, end="1.4", step="0.01") -> BranchTable:
     """e^{2t} and 4(2-t^2)^{-2} with their max, on a grid in [0, sqrt2)."""
     grid = _grid(start, end, step)
-    s2 = mpmath.sqrt(2)
-    if grid[0] < 0 or grid[-1] >= s2:
+    if grid[0] < 0 or grid[-1] >= mpmath.sqrt(2):
         raise DomainError("phi grid must stay inside [0, sqrt(2))")
-    rows = []
-    for t in grid:
-        b1, b2 = phi_branches(t)
-        rows.append((t, b1, b2, max(b1, b2)))
     tstar = phi_crossover()
-    return BranchTable(
-        which="phi-branches",
+    return _branch_table(
+        grid, phi_branches, max,
         header=("t", "exp_branch", "rational_branch", "max"),
-        rows=tuple(rows),
-        crossover_t=tstar,
-        crossover_value=phi_branches(tstar)[0],
+        legend=("exp(2t)", "4(2-t^2)^-2"),
+        crossover=(tstar, phi_branches(tstar)[0]),
     )
 
 
@@ -89,17 +91,13 @@ def phi_inv_branch_table(start=1, end=23, step="0.1") -> BranchTable:
     grid = _grid(start, end, step)
     if grid[0] < 1:
         raise DomainError("phi_inv grid must stay inside [1, oo)")
-    rows = []
-    for t in grid:
-        b1, b2 = phi_inv_branches(t)
-        rows.append((t, b1, b2, min(b1, b2)))
     tstar = phi_crossover()
-    return BranchTable(
-        which="phi-inv-branches",
+    return _branch_table(
+        grid, phi_inv_branches, min,
         header=("t", "log_branch", "sqrt_branch", "min"),
-        rows=tuple(rows),
-        crossover_t=phi_branches(tstar)[0],  # abscissa where the min switches
-        crossover_value=tstar,
+        legend=("log(t)/2", "sqrt(2)(1-t^-1/2)^1/2"),
+        # phi_inv is the inverse of phi, so its min switches at phi(t*)
+        crossover=(phi_branches(tstar)[0], tstar),
     )
 
 
@@ -125,10 +123,6 @@ def render_svg(table: BranchTable) -> str:
     def sy(v):
         return HEIGHT - MARGIN - (v - vmin) / (vmax - vmin) * (HEIGHT - 2 * MARGIN)
 
-    if table.which == "phi-branches":
-        legend = ("exp(2t)", "4(2-t^2)^-2")
-    else:
-        legend = ("log(t)/2", "sqrt(2)(1-t^-1/2)^1/2")
     cx, cy = float(table.crossover_t), float(table.crossover_value)
 
     parts = [
@@ -142,9 +136,9 @@ def render_svg(table: BranchTable) -> str:
         _polyline([(sx(t), sy(v)) for t, v in zip(ts, b1)], "green"),
         _polyline([(sx(t), sy(v)) for t, v in zip(ts, b2)], "blue"),
         f'<text x="{MARGIN}" y="{MARGIN - 30}" font-size="14" fill="green">'
-        f"{legend[0]}</text>",
+        f"{table.legend[0]}</text>",
         f'<text x="{MARGIN}" y="{MARGIN - 12}" font-size="14" fill="blue">'
-        f"{legend[1]}</text>",
+        f"{table.legend[1]}</text>",
         f'<text x="{MARGIN}" y="{HEIGHT - 20}" font-size="12">'
         f"t in [{tmin:g}, {tmax:g}]</text>",
     ]

@@ -170,7 +170,9 @@ def ball(
     S: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP
 ) -> List[Tuple[PLHomeo, Word]]:
     """All products of at most `radius` generators/inverses, deduplicated by
-    canonical form, each with a shortest representing word."""
+    canonical form, each with a shortest representing word, in the
+    breadth-first order of the search: by word length, and within a length
+    in the order the elements were reached."""
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
     steps: List[Tuple[Letter, PLHomeo]] = []
@@ -201,7 +203,7 @@ def ball(
                 seen[new.nodes] = entry
                 nxt.append(entry)
         frontier = nxt
-    return sorted(seen.values(), key=lambda e: (len(e[1]), e[0].nodes))
+    return list(seen.values())
 
 
 def global_fixed_set(S: GeneratorSet) -> IntervalUnion:

@@ -30,11 +30,26 @@ from .intervals import IntervalUnion
 
 Node = Tuple[Fraction, Fraction]
 
-# The largest decimal exponent a rational string may carry: the limit Python
+# The largest decimal exponent a number string may carry: the limit Python
 # puts on the digits of a decimal integer string. Fraction("1e400000000")
-# would otherwise build a 400-million-digit integer.
+# would otherwise build a 400-million-digit integer, and mpf would spend as
+# long on a power of ten. Both read "_" between digits, and mpf a trailing "l".
 MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?0*(\d+)$", re.IGNORECASE)
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)l*$", re.IGNORECASE)
+
+
+def check_decimal_exponent(text: str, path: str = "") -> None:
+    """Raise SchemaError if the number string `text` carries a decimal
+    exponent over MAX_DECIMAL_EXPONENT in magnitude."""
+    m = _EXPONENT.search(text.strip())
+    if not m:
+        return
+    digits = m[1].replace("_", "").lstrip("0")
+    # the length test keeps int() off a digit string over Python's limit
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise SchemaError(
+            f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude", path
+        )
 
 
 def parse_rational(text, path: str = "") -> Fraction:
@@ -48,13 +63,7 @@ def parse_rational(text, path: str = "") -> Fraction:
         return Fraction(text)
     if isinstance(text, str):
         text = text.strip()
-        m = _EXPONENT.search(text)
-        # the length test keeps int() off a digit string over Python's limit
-        if m and (len(m[1]) > len(str(MAX_DECIMAL_EXPONENT)) or int(m[1]) > MAX_DECIMAL_EXPONENT):
-            raise SchemaError(
-                f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude",
-                path,
-            )
+        check_decimal_exponent(text, path)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -256,9 +265,6 @@ class PLHomeo:
         # merged nodes need no validation.
         nodes = _merge_nodes(gx, evaluate_sorted(fx, fy, gy), evaluate_sorted(gy, gx, fx), fy)
         return PLHomeo._canonical(_drop_collinear(nodes))
-
-    def __mul__(self, other: "PLHomeo") -> "PLHomeo":
-        return self.compose(other)
 
     def conjugate_by_homothety(self, alpha) -> "PLHomeo":
         """phi_alpha^{-1} o f o phi_alpha with phi_alpha(x) = alpha*x.

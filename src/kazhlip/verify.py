@@ -74,6 +74,12 @@ def random_step_function(
 # suites
 
 
+def _tally(name: str, slacks) -> SuiteResult:
+    """A property's result from the slack of each case it ran."""
+    failures = sum(1 for slack in slacks if not slack >= 0)
+    return (name, len(slacks), failures, float(min(slacks, default=mpf("inf"))))
+
+
 def suite_group_axioms(cases: int = 1000, seed: int = DEFAULT_SEED) -> List[SuiteResult]:
     rng = random.Random(seed)
     ident = PLHomeo.identity()
@@ -119,36 +125,26 @@ def suite_koopman(cases: int = 1000, seed: int = DEFAULT_SEED) -> List[SuiteResu
     rng = random.Random(seed)
     tol = mpf("1e-12")
     ps = [1, 2, 4, 16]
-    iso_fail = 0
-    iso_worst = mpf("inf")
+    iso = []
     for _ in range(cases):
         g = random_plhomeo(rng, max_nodes=5, max_mag=60)
         xi = random_step_function(rng)
         p = rng.choice(ps)
         n0 = lp_norm(xi, p)
         n1 = lp_norm(koopman_apply(g, xi, p), p)
-        slack = tol * n0 - abs(n1 - n0)
-        iso_worst = min(iso_worst, slack)
-        if slack < 0:
-            iso_fail += 1
-    hom_fail = 0
-    hom_worst = mpf("inf")
-    pair_cases = cases
-    for _ in range(pair_cases):
+        iso.append(tol * n0 - abs(n1 - n0))
+    hom = []
+    for _ in range(cases):
         f = random_plhomeo(rng, max_nodes=4, max_mag=40)
         g = random_plhomeo(rng, max_nodes=4, max_mag=40)
         xi = random_step_function(rng, max_pieces=4)
         p = rng.choice(ps)
         lhs = koopman_apply(f.compose(g), xi, p)
         rhs = koopman_apply(f, koopman_apply(g, xi, p), p)
-        dev = max(abs(u - v) for _, _, u, v in refine(lhs, rhs))
-        slack = tol - dev
-        hom_worst = min(hom_worst, slack)
-        if slack < 0:
-            hom_fail += 1
+        hom.append(tol - max(abs(u - v) for _, _, u, v in refine(lhs, rhs)))
     return [
-        ("L^p isometry (relative 1e-12)", cases, iso_fail, float(iso_worst)),
-        ("homomorphism (piecewise 1e-12)", pair_cases, hom_fail, float(hom_worst)),
+        _tally("L^p isometry (relative 1e-12)", iso),
+        _tally("homomorphism (piecewise 1e-12)", hom),
     ]
 
 
@@ -156,10 +152,7 @@ def suite_mazur(cases: int = 1000, seed: int = DEFAULT_SEED) -> List[SuiteResult
     rng = random.Random(seed)
     combos = [(2, 4), (2, 16), (1, 2)]
     tol = mpf("1e-12")
-    fails = 0
-    worst = mpf("inf")
-    sphere_fails = 0
-    sphere_worst = mpf("inf")
+    bound, sphere = [], []
     for i in range(cases):
         q, p = combos[i % len(combos)]
         xi = normalize(random_step_function(rng), q)
@@ -167,34 +160,24 @@ def suite_mazur(cases: int = 1000, seed: int = DEFAULT_SEED) -> List[SuiteResult
         lhs = to_real(Fraction(q, p)) * lp_norm(subtract(xi, eta), q)
         m_xi = mazur_map(xi, q, p)
         rhs = lp_norm(subtract(m_xi, mazur_map(eta, q, p)), p)
-        slack = rhs + tol - lhs
-        worst = min(worst, slack)
-        if slack < 0:
-            fails += 1
-        sphere_slack = tol - abs(lp_norm(m_xi, p) - 1)
-        sphere_worst = min(sphere_worst, sphere_slack)
-        if sphere_slack < 0:
-            sphere_fails += 1
+        bound.append(rhs + tol - lhs)
+        sphere.append(tol - abs(lp_norm(m_xi, p) - 1))
     return [
-        ("Mazur lower bound (q/p)||xi-eta||_q", cases, fails, float(worst)),
-        ("Mazur maps unit sphere to unit sphere", cases, sphere_fails, float(sphere_worst)),
+        _tally("Mazur lower bound (q/p)||xi-eta||_q", bound),
+        _tally("Mazur maps unit sphere to unit sphere", sphere),
     ]
 
 
 def suite_lemmas(cases: int = 10000, seed: int = DEFAULT_SEED) -> List[SuiteResult]:
     rng = random.Random(seed)
-    fails = 0
-    worst = mpf("inf")
+    slacks = []
     for _ in range(cases):
         L = mpf(repr(rng.uniform(1.0001, 1000.0)))
         x = mpf(repr(rng.uniform(0.0, 1.0))) * (L - 1 / L) + 1 / L
         logL = mpmath.log(L)
         p = mpf(repr(rng.uniform(0.0, 1.0))) * (1000 - float(logL)) + logL + mpf("1e-6")
-        ok, slack = log_power_bound_check(x, p, L)
-        worst = min(worst, slack)
-        if not ok:
-            fails += 1
-    return [("log-power inequality slack >= 0", cases, fails, float(worst))]
+        slacks.append(log_power_bound_check(x, p, L)[1])
+    return [_tally("log-power inequality slack >= 0", slacks)]
 
 
 def suite_escape(seed: int = DEFAULT_SEED) -> List[SuiteResult]:
@@ -204,12 +187,8 @@ def suite_escape(seed: int = DEFAULT_SEED) -> List[SuiteResult]:
     t = PLHomeo.translation(1)
     bump = PLHomeo.from_pairs([(0, 0), (1, Fraction(3, 2)), (2, 2)])
     S = GeneratorSet("escape", (("t", t), ("b", bump)))
-    results = []
     ok = global_fixed_set(S).is_empty
-    results.append(("no global fixed point", 1, 0 if ok else 1, None))
-    fails = 0
-    worst = mpf("inf")
-    trials = 0
+    slacks = []
     for p in (1, 2, 4):
         M = Fraction(2)
         xi = StepFunction((-M, M), (to_real(2 * M) ** (-1 / mpf(p)),))
@@ -220,13 +199,11 @@ def suite_escape(seed: int = DEFAULT_SEED) -> List[SuiteResult]:
             w = w.compose(shift)
         assert w.evaluate(-M) > M
         d = koopman_distortion(w, xi, p)
-        slack = d - (2 ** (1 / mpf(p))) + mpf("1e-12")
-        trials += 1
-        worst = min(worst, slack)
-        if slack < 0:
-            fails += 1
-    results.append(("disjoint-support distortion = 2^(1/p)", trials, fails, float(worst)))
-    return results
+        slacks.append(d - (2 ** (1 / mpf(p))) + mpf("1e-12"))
+    return [
+        ("no global fixed point", 1, 0 if ok else 1, None),
+        _tally("disjoint-support distortion = 2^(1/p)", slacks),
+    ]
 
 
 SUITES = {
@@ -238,13 +215,13 @@ SUITES = {
 
 
 def run_suites(name: str) -> Tuple[bool, List[SuiteResult]]:
+    """Run one suite of SUITES, or with "all" every suite in its order."""
     if name == "all":
-        results: List[SuiteResult] = []
-        for key in ("group-axioms", "koopman", "mazur", "lemmas"):
-            results.extend(SUITES[key]())
+        names = list(SUITES)
     elif name in SUITES:
-        results = SUITES[name]()
+        names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}")
+    results = [r for key in names for r in SUITES[key]()]
     passed = all(failures == 0 for _, _, failures, _ in results)
     return passed, results

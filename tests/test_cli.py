@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import pytest
+from mpmath import mpf
 
 import kazhlip
 from kazhlip import GeneratorSet, PLHomeo
 from kazhlip.cli import main
+from kazhlip.precision import get_precision, precision
 from kazhlip.figures import phi_branch_table, phi_inv_branch_table, render_svg
 
 
@@ -74,7 +78,8 @@ class TestPhiCommands:
         assert code == 1 and "error" in err
 
     def test_non_finite_exit_1(self, capsys):
-        for argv in (("phi", "nan"), ("phi", "inf"), ("phi-inv", "nan"), ("phi-inv", "inf")):
+        for argv in (("phi", "nan"), ("phi", "inf"), ("phi-inv", "nan"), ("phi-inv", "inf"),
+                     ("phi", "Infinity"), ("phi-inv", "+nan")):
             code, out, err = run(capsys, *argv)
             assert code == 1 and "finite" in err and out == ""
 
@@ -99,6 +104,68 @@ class TestPhiCommands:
         monkeypatch.setenv("KAZHLIP_PRECISION", "abc")  # the flag wins
         code, out, _ = run(capsys, "--precision", "16", "phi", "1.0")
         assert code == 0 and out.strip() == "7.389056098930650"
+
+
+def close_to(text, exact, digits):
+    """Whether the printed real `text` is `exact` to `digits` significant
+    digits, compared at twice that precision."""
+    with precision(2 * digits):
+        exact = exact()
+        return abs(mpf(text) - exact) <= mpf(10) ** (1 - digits) * abs(exact)
+
+
+class TestRealArguments:
+    """Every real argument is read at the working precision, and the
+    precision a call sets ends with the call."""
+
+    @pytest.mark.parametrize("digits", [15, 30, 50])
+    def test_phi_value_at_working_precision(self, capsys, digits):
+        code, out, _ = run(capsys, "--precision", str(digits), "phi", "0.1")
+        assert code == 0 and close_to(out, lambda: mpmath.exp(mpf(1) / 5), digits)
+        code, out, _ = run(capsys, "--precision", str(digits), "phi-inv", "10.3")
+        assert code == 0 and close_to(out, lambda: mpmath.log(mpf(103) / 10) / 2, digits)
+
+    @pytest.mark.parametrize("digits", [15, 30, 50])
+    def test_p_at_working_precision(self, capsys, digits, translations_file):
+        code, out, _ = run(capsys, "--precision", str(digits), "bound", translations_file,
+                           "--p", "2.1", "--schedule", "1", "--format", "json")
+        (cell,) = json.loads(out)["sweep"]
+        assert code == 0 and close_to(cell["p"], lambda: mpf(21) / 10, digits)
+
+    def test_precision_ends_with_the_call(self, capsys):
+        with precision(40):
+            code, out, _ = run(capsys, "--precision", "50", "phi", "1")
+            assert code == 0 and len(out.strip()) == 51 and get_precision() == 40
+            code, out, _ = run(capsys, "phi", "1")
+            assert code == 0 and out.strip() == "7.38905609893065022723042746058"
+            assert get_precision() == 40
+
+    @pytest.mark.parametrize("argv,field", [
+        (["phi", "1e400000"], "t"),
+        (["phi-inv", "1e" + "9" * 4000], "t"),
+        (["phi", "1e4_301"], "t"),
+        (["phi-table", "--grid", "0:1:1e-400000"], "--grid"),
+        (["bound", "{translations}", "--p", "1e400000"], "p"),
+        (["bound", "{translations}", "--p", "2,1e99999l"], "p"),
+        (["bound", "{translations}", "--schedule", "1e4_301"], "schedule"),
+    ])
+    def test_exponent_cap_exit_2(self, capsys, translations_file, argv, field):
+        argv = [a.format(translations=translations_file) for a in argv]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and f"{field}: decimal exponent" in err and out == ""
+
+    @pytest.mark.parametrize("argv,field", [
+        (["phi", "abc"], "t"),
+        (["phi-inv", "1/0"], "t"),
+        (["phi-table", "--grid", "0:1/0:0.1"], "--grid"),
+        (["bound", "{translations}", "--p", "2,x"], "p"),
+    ])
+    def test_malformed_real_exit_2(self, capsys, translations_file, argv, field):
+        argv = [a.format(translations=translations_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and f"{field}: invalid real number" in err and out == ""
 
 
 class TestPhiTable:

@@ -121,7 +121,7 @@ class TestBall:
                         seen[new.nodes] = (new, Word(word.letters + (letter,)))
                         nxt.append(seen[new.nodes])
             frontier = nxt
-        want = sorted(seen.values(), key=lambda e: (len(e[1]), e[0].nodes))
+        want = list(seen.values())
 
         calls = []
         compose = PLHomeo.compose
