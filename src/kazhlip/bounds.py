@@ -18,7 +18,6 @@ schedule cells.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass
@@ -28,9 +27,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mpf
 
+# read at call time: `phi` and `phi-inv` run neither module
+from . import groupact, koopman
 from .errors import DomainError
-from .groupact import GeneratorSet, global_fixed_set
-from .koopman import WindowCut, WindowMap
 from .plmap import format_rational
 from .precision import real_str, to_real
 
@@ -131,7 +130,7 @@ def corollary_bound(set_size: int) -> mpf:
     return phi_inv(set_size)
 
 
-def theorem_check(S: GeneratorSet, kappa_candidate) -> bool:
+def theorem_check(S: groupact.GeneratorSet, kappa_candidate) -> bool:
     """Whether L = max Lip(g) >= phi(kappa_candidate), i.e. whether the
     candidate Kazhdan constant is consistent with the action."""
     L = to_real(S.max_lip())
@@ -172,12 +171,12 @@ class _SetData(NamedTuple):
     L: Fraction
     M: Fraction
     hypothesis_ok: bool
-    windows: Tuple[WindowMap, ...]
+    windows: Tuple[koopman.WindowMap, ...]
     # each schedule entry n with the cuts of its window by every generator
-    cuts: Tuple[Tuple[Fraction, Tuple[WindowCut, ...]], ...]
+    cuts: Tuple[Tuple[Fraction, Tuple[koopman.WindowCut, ...]], ...]
 
 
-def _set_data(S: GeneratorSet, n_schedule: Optional[Sequence]) -> _SetData:
+def _set_data(S: groupact.GeneratorSet, n_schedule: Optional[Sequence]) -> _SetData:
     per_generator = tuple(
         (lab, g.lip_constant(), g.displacement()) for lab, g in S.generators
     )
@@ -186,7 +185,7 @@ def _set_data(S: GeneratorSet, n_schedule: Optional[Sequence]) -> _SetData:
         n_schedule = default_n_schedule(M)
     if not n_schedule:
         raise DomainError("empty n schedule")
-    windows = tuple(WindowMap.of(g) for _, g in S.generators)
+    windows = tuple(koopman.WindowMap.of(g) for _, g in S.generators)
     cuts = []
     for n in n_schedule:
         n = Fraction(n)
@@ -197,7 +196,7 @@ def _set_data(S: GeneratorSet, n_schedule: Optional[Sequence]) -> _SetData:
         per_generator=per_generator,
         L=max(lip for _, lip, _ in per_generator),
         M=M,
-        hypothesis_ok=global_fixed_set(S).is_empty,
+        hypothesis_ok=groupact.global_fixed_set(S).is_empty,
         windows=windows,
         cuts=tuple(cuts),
     )
@@ -247,14 +246,14 @@ def _estimate(data: _SetData, p, lemma41: bool) -> EstimateFragment:
     )
 
 
-def estimate_p2(S: GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
+def estimate_p2(S: groupact.GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
     """L^2 window estimator: per-n distortions d_n, the proof's per-n
     certified bound sqrt(2 - 2 ((n-M)/n) L^{-1/2}) for n > M, and the
     analytic limit sqrt2 (1 - L^{-1/2})^{1/2}."""
     return _estimate(_set_data(S, n_schedule), 2, lemma41=True)
 
 
-def estimate_lp(S: GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
+def estimate_lp(S: groupact.GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
     """L^p window estimator for p > log L: per-n distortions transferred
     via (p/2) d, the proof's per-n bound on d^p, and the analytic per-p
     bound p log L / (2 (p - log L)) whose p -> oo limit is (1/2) log L."""
@@ -275,23 +274,6 @@ def default_p_list(L: Fraction) -> List[int]:
     return [p for p in (2, 4, 8, 16, 32, 64) if p > logL]
 
 
-def lipschitz_obj(per_generator: Sequence[Tuple[str, Fraction, Fraction]], L, M) -> dict:
-    """The exact strings of each generator's (label, Lip, displacement) and
-    of their maxima L and M, as `bound` and `lip` print them."""
-    return {
-        "per_generator": [
-            {
-                "label": lab,
-                "lip": format_rational(lip, f"per_generator[{i}].lip"),
-                "displacement": format_rational(disp, f"per_generator[{i}].displacement"),
-            }
-            for i, (lab, lip, disp) in enumerate(per_generator)
-        ],
-        "L": format_rational(L, "L"),
-        "M": format_rational(M, "M"),
-    }
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All Kazhdan upper-bound data for one generating set."""
@@ -309,6 +291,8 @@ class BoundReport:
     headline: mpf              # min over sweep and analytic bounds
 
     def label_hash(self) -> str:
+        import hashlib  # here, so that `phi` and `phi-inv` never load it
+
         digest = hashlib.sha256("|".join(sorted(self.labels)).encode()).hexdigest()
         return digest[:12]
 
@@ -317,7 +301,7 @@ class BoundReport:
             "group_name": self.group_name,
             "label_hash": self.label_hash(),
             "hypothesis_ok": self.hypothesis_ok,
-            **lipschitz_obj(self.per_generator, self.L, self.M),
+            **groupact.lipschitz_obj(self.per_generator, self.L, self.M),
             "lemma41_bound": real_str(self.lemma41_bound),
             "lemma43_bound": real_str(self.lemma43_bound),
             "phi_inv_of_L": real_str(self.phi_inv_of_L),
@@ -374,7 +358,7 @@ class BoundReport:
 
 
 def bound_report(
-    S: GeneratorSet,
+    S: groupact.GeneratorSet,
     p_list: Optional[Sequence] = None,
     n_schedule: Optional[Sequence] = None,
 ) -> BoundReport:

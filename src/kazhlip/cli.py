@@ -7,6 +7,11 @@ to interpret them as certified bounds fails (a global fixed point exists).
 Real arguments (`t`, `--p`, `--grid`) are read as mpf at the working
 precision, rationals (`--schedule`, `--base`) exactly. Each `main` call
 runs at its own precision, which ends with the call.
+
+A command runs only the modules it reads: the library modules are
+registered lazily by the package, and this module reads them at call time.
+`lip`, `fixed-points` and `limit-diag` compute no reals, so they run
+outside the precision scope and never import mpmath.
 """
 
 from __future__ import annotations
@@ -17,13 +22,16 @@ import math
 import sys
 from pathlib import Path
 
-from mpmath import mpf
-
-from . import bounds, figures, limits, verify
-from .errors import DomainError, ResourceLimitError, SchemaError
-from .groupact import GeneratorSet, Word, global_fixed_set
+from . import bounds, figures, groupact, limits, verify
+from .errors import (
+    DEFAULT_DIGITS,
+    DomainError,
+    ResourceLimitError,
+    SchemaError,
+    check_digits,
+    env_precision,
+)
 from .plmap import check_decimal_exponent, format_rational, parse_rational
-from .precision import DEFAULT_DIGITS, env_precision, precision, real_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -38,8 +46,8 @@ def _read_file(path: str) -> str:
         raise SchemaError(f"cannot read file: {exc}", path) from exc
 
 
-def _load_group(path: str) -> GeneratorSet:
-    return GeneratorSet.from_json(_read_file(path))
+def _load_group(path: str) -> groupact.GeneratorSet:
+    return groupact.GeneratorSet.from_json(_read_file(path))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -49,9 +57,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _real(text: str, path: str) -> mpf:
+def _real(text: str, path: str):
     """A real argument read at the working precision, its decimal exponent
     capped as for rationals."""
+    from mpmath import mpf
+
     check_decimal_exponent(text, path)
     try:
         return mpf(text)
@@ -73,7 +83,9 @@ def _list(text: str, read, path: str):
 
 def cmd_value(args) -> int:
     """`phi` and `phi-inv`."""
-    _emit(real_str(args.function(_real(args.t, "t"))), args.out)
+    from .precision import real_str
+
+    _emit(real_str(getattr(bounds, args.function)(_real(args.t, "t"))), args.out)
     return EXIT_OK
 
 
@@ -98,7 +110,7 @@ def cmd_lip(args) -> int:
     per_generator = [(lab, g.lip_constant(), g.displacement()) for lab, g in S.generators]
     payload = {
         "group_name": S.name,
-        **bounds.lipschitz_obj(per_generator, S.max_lip(), S.max_displacement()),
+        **groupact.lipschitz_obj(per_generator, S.max_lip(), S.max_displacement()),
     }
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
@@ -115,7 +127,7 @@ def cmd_lip(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     S = _load_group(args.input)
-    fixed = global_fixed_set(S)
+    fixed = groupact.global_fixed_set(S)
     text = fixed.format("fixed_set")
     verdict = "empty" if fixed.is_empty else "nonempty"
     if args.format == "json":
@@ -132,6 +144,8 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_bound(args) -> int:
     """`bound`, and `sweep`, which is `bound --format csv`."""
+    from .precision import real_str
+
     S = _load_group(args.input)
     p_list = _list(args.p, _real, "p") if args.p else None
     schedule = _list(args.schedule, parse_rational, "schedule") if args.schedule else None
@@ -157,25 +171,36 @@ def cmd_bound(args) -> int:
 
 def cmd_limit_diag(args) -> int:
     seq = limits.ActionSequence.from_json(_read_file(args.input))
-    words = [Word.parse(tok) for tok in (args.words or "").split(",") if tok.strip()]
+    words = [groupact.Word.parse(tok) for tok in (args.words or "").split(",") if tok.strip()]
     if not words:
-        words = [Word(((lab, 1),)) for lab in seq.labels]
+        words = [groupact.Word(((lab, 1),)) for lab in seq.labels]
     base = parse_rational(args.base, "base")
-    diag = limits.limit_translation_diagnostic(seq, words, base, cauchy_tol=args.tol)
+    tol = limits.DEFAULT_CAUCHY_TOL if args.tol is None else args.tol
+    diag = limits.limit_translation_diagnostic(seq, words, base, cauchy_tol=tol)
     text = diag.to_csv() if args.format == "csv" else json.dumps(diag.to_obj(), indent=2)
     _emit(text, args.out)
     return EXIT_OK
 
 
+# Each `verify` suite and the functions of kazhlip.verify it runs, in order
+SUITES = {
+    "group-axioms": ("suite_group_axioms", "suite_homothety"),
+    "koopman": ("suite_koopman", "suite_escape"),
+    "mazur": ("suite_mazur",),
+    "lemmas": ("suite_lemmas",),
+}
+
+
 def cmd_verify(args) -> int:
-    passed, results = verify.run_suites(args.suite)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    results = [r for key in names for suite in SUITES[key] for r in getattr(verify, suite)()]
     lines = []
     for name, cases, failures, worst in results:
         status = "pass" if failures == 0 else "FAIL"
         extra = "" if worst is None else f", worst slack {worst:.3e}"
         lines.append(f"[{status}] {name}: {cases} cases, {failures} failures{extra}")
     _emit("\n".join(lines), args.out)
-    return EXIT_OK if passed else EXIT_DOMAIN
+    return EXIT_OK if all(failures == 0 for _, _, failures, _ in results) else EXIT_DOMAIN
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=fmt_choices[0], choices=fmt_choices)
 
     for name, help_text, function in (
-        ("phi", "evaluate the lower-bound function phi(t)", bounds.phi),
-        ("phi-inv", "evaluate phi^{-1}(t)", bounds.phi_inv),
+        ("phi", "evaluate the lower-bound function phi(t)", "phi"),
+        ("phi-inv", "evaluate phi^{-1}(t)", "phi_inv"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("t")
@@ -243,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--words", default=None, help="comma-separated words, e.g. 'a,a b,a^-1'")
     p.add_argument("--base", default="0")
-    p.add_argument("--tol", type=float, default=limits.DEFAULT_CAUCHY_TOL)
+    p.add_argument("--tol", type=float, default=None)
     common(p, ("json", "csv"))
     p.set_defaults(func=cmd_limit_diag)
 
@@ -252,12 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=(*verify.SUITES, "all"),
+        choices=(*SUITES, "all"),
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+# The commands that compute no reals: they run outside the precision scope
+EXACT_COMMANDS = (cmd_lip, cmd_fixed_points, cmd_limit_diag)
 
 
 def main(argv=None) -> int:
@@ -266,6 +295,11 @@ def main(argv=None) -> int:
         digits = args.precision
         if digits is None:
             digits = env_precision() or DEFAULT_DIGITS
+        if args.func in EXACT_COMMANDS:
+            check_digits(digits)
+            return args.func(args)
+        from .precision import precision
+
         with precision(digits):
             return args.func(args)
     except SchemaError as exc:

@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceLimitError, SchemaError
 from .intervals import IntervalUnion
-from .plmap import PLHomeo
+from .plmap import PLHomeo, format_rational
 
 DEFAULT_BALL_CAP = 100_000
 
@@ -153,6 +153,23 @@ class GeneratorSet:
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2)
+
+
+def lipschitz_obj(per_generator: Sequence[Tuple[str, Fraction, Fraction]], L, M) -> dict:
+    """The exact strings of each generator's (label, Lip, displacement) and
+    of their maxima L and M, as `bound` and `lip` print them."""
+    return {
+        "per_generator": [
+            {
+                "label": lab,
+                "lip": format_rational(lip, f"per_generator[{i}].lip"),
+                "displacement": format_rational(disp, f"per_generator[{i}].displacement"),
+            }
+            for i, (lab, lip, disp) in enumerate(per_generator)
+        ],
+        "L": format_rational(L, "L"),
+        "M": format_rational(M, "M"),
+    }
 
 
 def word_evaluate(w: Word, S: GeneratorSet) -> PLHomeo:

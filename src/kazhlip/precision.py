@@ -9,32 +9,14 @@ KAZHLIP_PRECISION, an integer >= 15, overrides the default.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
-from .errors import DomainError
-
-DEFAULT_DIGITS = 30
-MIN_DIGITS = 15
-
-
-def env_precision():
-    """The digits KAZHLIP_PRECISION names, or None when it is unset. A value
-    that is not an integer >= MIN_DIGITS raises DomainError."""
-    raw = os.environ.get("KAZHLIP_PRECISION")
-    if raw is None:
-        return None
-    try:
-        digits = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"KAZHLIP_PRECISION must be an integer, got {raw[:40]!r}") from exc
-    if digits < MIN_DIGITS:
-        raise DomainError(f"KAZHLIP_PRECISION must be >= {MIN_DIGITS}, got {digits}")
-    return digits
+# The digit rules need no mpmath; they live in errors and are re-exported here.
+from .errors import DEFAULT_DIGITS, MIN_DIGITS, DomainError, check_digits, env_precision
 
 
 def _initial_digits() -> int:
@@ -47,9 +29,7 @@ def _initial_digits() -> int:
 
 
 def set_precision(digits: int) -> None:
-    if digits < MIN_DIGITS:
-        raise DomainError(f"precision must be >= {MIN_DIGITS}, got {digits}")
-    mpmath.mp.dps = digits
+    mpmath.mp.dps = check_digits(digits)
 
 
 def get_precision() -> int:

@@ -205,23 +205,3 @@ def suite_escape(seed: int = DEFAULT_SEED) -> List[SuiteResult]:
         _tally("disjoint-support distortion = 2^(1/p)", slacks),
     ]
 
-
-SUITES = {
-    "group-axioms": lambda: suite_group_axioms() + suite_homothety(),
-    "koopman": lambda: suite_koopman() + suite_escape(),
-    "mazur": lambda: suite_mazur(),
-    "lemmas": lambda: suite_lemmas(),
-}
-
-
-def run_suites(name: str) -> Tuple[bool, List[SuiteResult]]:
-    """Run one suite of SUITES, or with "all" every suite in its order."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    results = [r for key in names for r in SUITES[key]()]
-    passed = all(failures == 0 for _, _, failures, _ in results)
-    return passed, results

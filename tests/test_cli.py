@@ -16,6 +16,14 @@ from kazhlip.cli import main
 from kazhlip.precision import get_precision, precision
 from kazhlip.figures import phi_branch_table, phi_inv_branch_table, render_svg
 
+GOLDEN = Path(__file__).parent / "golden"
+# The commands that compute no reals, each with an input under GOLDEN
+EXACT_INPUTS = {
+    "lip": "bound/inputs/bump_t.json",
+    "fixed-points": "bound/inputs/bump_t.json",
+    "limit-diag": "limit_diag/inputs/shrinking.json",
+}
+
 
 @pytest.fixture
 def translations_file(tmp_path):
@@ -94,10 +102,12 @@ class TestPhiCommands:
         assert code == 1
 
     def test_precision_env_checked(self, capsys, monkeypatch):
+        exact = [(command, str(GOLDEN / path)) for command, path in EXACT_INPUTS.items()]
         for raw in ("abc", "10", "", "1.5"):
             monkeypatch.setenv("KAZHLIP_PRECISION", raw)
-            code, out, err = run(capsys, "phi", "1.0")
-            assert code == 1 and "KAZHLIP_PRECISION" in err and out == ""
+            for argv in (("phi", "1.0"), *exact):
+                code, out, err = run(capsys, *argv)
+                assert code == 1 and "KAZHLIP_PRECISION" in err and out == ""
         monkeypatch.setenv("KAZHLIP_PRECISION", "20")
         code, out, _ = run(capsys, "phi", "1.0")
         assert code == 0 and out.strip() == "7.3890560989306502272"
@@ -441,3 +451,63 @@ class TestVerifyAndDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+# The public names of the package, as the eager imports of earlier versions bound them
+PUBLIC = {
+    "ActionSequence", "BoundReport", "DomainError", "GeneratorSet", "IntervalUnion",
+    "KazhlipError", "LimitDiagnostic", "PLHomeo", "ResourceLimitError", "SchemaError",
+    "StepFunction", "Word", "ball", "bound_report", "corollary_bound", "estimate_lp",
+    "estimate_p2", "format_rational", "get_precision", "global_fixed_set", "inner_product",
+    "kappa_max", "kappa_transfer", "koopman_apply", "koopman_distortion",
+    "limit_translation_diagnostic", "lip_trend", "log_power_bound_check", "lp_norm",
+    "mazur_map", "normalize", "normalize_stage", "parse_rational", "phi", "phi_crossover",
+    "phi_inv", "precision", "set_precision", "subtract", "theorem_check", "window_vector",
+    "word_evaluate",
+}
+
+
+def run_python(*args):
+    """`python *args` in a fresh process with no KAZHLIP_PRECISION."""
+    env = {k: v for k, v in os.environ.items() if k != "KAZHLIP_PRECISION"}
+    env["PYTHONPATH"] = str(Path(kazhlip.__file__).parents[1])
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestStartUp:
+    """What a fresh process loads: `import kazhlip` runs no library module,
+    and a command runs only the modules it reads."""
+
+    @pytest.mark.parametrize("command", EXACT_INPUTS)
+    def test_exact_commands_never_import_mpmath(self, command):
+        proc = run_python("-X", "importtime", "-m", "kazhlip.cli", command,
+                          str(GOLDEN / EXACT_INPUTS[command]))
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert proc.stdout and "Traceback" not in proc.stderr
+        assert not [name for name in imported if name.split(".")[0] == "mpmath"]
+
+    def test_import_runs_no_library_module(self):
+        proc = run_python("-c", "import sys, types, kazhlip\n"
+                          "mods = [m for n, m in sys.modules.items() if n.startswith('kazhlip.')]\n"
+                          "print(len(mods), sum(type(m) is types.ModuleType for m in mods),"
+                          " 'mpmath' in sys.modules)")
+        assert proc.stdout.split() == ["10", "0", "False"]
+
+    def test_public_names_are_their_modules_objects(self):
+        proc = run_python("-c", "import sys, kazhlip\n"
+                          "for name in kazhlip.__all__:\n"
+                          "    obj = getattr(kazhlip, name)\n"
+                          "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+                          "print(*kazhlip.__all__)")
+        assert set(proc.stdout.split()) == PUBLIC
+
+    def test_precision_stays_the_context_manager(self):
+        proc = run_python("-c", "import kazhlip.precision, mpmath\n"
+                          "from kazhlip import precision\n"
+                          "with precision(40):\n"
+                          "    print(mpmath.mp.dps)\n"
+                          "print(kazhlip.precision is precision, kazhlip.bounds.__name__)")
+        assert proc.stdout.split() == ["40", "True", "kazhlip.bounds"]
