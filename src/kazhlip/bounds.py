@@ -9,10 +9,10 @@ the Kazhdan constant of the generating set:
 The window-vector estimators compute, for a generating set S acting
 without global fixed points, the distortions d_{p,n} = max_{g in S}
 ||pi(g) xi_n - xi_n||_p of the unit windows xi_n = (2n)^{-1/p} 1_{[-n,n]},
-and transfer each to a Kazhdan upper bound (p/2) d_{p,n}. The per-n proof
-bounds and the analytic n -> oo limits are reported beside them. The
-headline bound is the minimum of phi_inv(L) and the (p/2) d_{p,n} over the
-schedule cells.
+and transfer each to a Kazhdan upper bound (p/2) d_{p,n}, with the per-n
+proof bound beside each; `estimate_p2` and `estimate_lp` add the analytic
+n -> oo limit at one p. The headline bound is the minimum of phi_inv(L)
+and the (p/2) d_{p,n} over the schedule cells.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -163,101 +163,58 @@ class EstimateFragment:
     hypothesis_ok: bool         # global fixed set empty
 
 
-class _SetData(NamedTuple):
-    """What the estimators need of one generating set and one schedule,
-    computed once."""
-
-    per_generator: Tuple[Tuple[str, Fraction, Fraction], ...]  # (label, lip, disp)
-    L: Fraction
-    M: Fraction
-    hypothesis_ok: bool
-    windows: Tuple[koopman.WindowMap, ...]
-    # each schedule entry n with the cuts of its window by every generator
-    cuts: Tuple[Tuple[Fraction, Tuple[koopman.WindowCut, ...]], ...]
-
-
-def _set_data(S: groupact.GeneratorSet, n_schedule: Optional[Sequence]) -> _SetData:
-    per_generator = tuple(
-        (lab, g.lip_constant(), g.displacement()) for lab, g in S.generators
-    )
-    M = max(disp for _, _, disp in per_generator)
-    if n_schedule is None:
-        n_schedule = default_n_schedule(M)
-    if not n_schedule:
-        raise DomainError("empty n schedule")
-    windows = tuple(koopman.WindowMap.of(g) for _, g in S.generators)
-    cuts = []
-    for n in n_schedule:
-        n = Fraction(n)
-        if n <= 0:
-            raise DomainError(f"schedule entries must be positive, got {n}")
-        cuts.append((n, tuple(w.cut(n) for w in windows)))
-    return _SetData(
-        per_generator=per_generator,
-        L=max(lip for _, lip, _ in per_generator),
-        M=M,
-        hypothesis_ok=groupact.global_fixed_set(S).is_empty,
-        windows=windows,
-        cuts=tuple(cuts),
-    )
-
-
-def _estimate(data: _SetData, p, lemma41: bool) -> EstimateFragment:
-    """The window estimator at exponent p. Each cell takes the largest
-    2n d^p over the generators, one p-th root, the transfer (p/2) d and,
-    for n > M, the proof's per-n bound. With lemma41 the exponent is 2 and
-    the proof bound and limit are the L^2 ones; otherwise they are the L^p
-    ones, which need p > log L and p >= 2."""
-    M = data.M
-    Lr = to_real(data.L)
-    if lemma41:
-        p = mpf(2)
-        analytic = phi_inv_branches(Lr)[1]
+def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
+    """The window estimator's cells at exponent p. Each cell takes the
+    largest 2n d^p over the generators, one p-th root, the transfer (p/2) d
+    and, for n > M, the proof's per-n bound: Lemma 4.1's at p = 2, the L^p
+    one at any other p, which needs p > log L and p >= 2."""
+    p, Lr = to_real(p), to_real(L)
+    if p == 2:
+        def proof(n):
+            return mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / mpmath.sqrt(Lr))
     else:
-        p = to_real(p)
         logL = mpmath.log(Lr)
         if p <= logL:
             raise DomainError(f"need p > log(L) = {logL}, got p={p}")
         if p < 2:
             raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
-        analytic = p * logL / (2 * (p - logL)) if logL > 0 else mpf(0)
         # (log L / (p - log L))^p bounds every weight |s^{1/p} - 1|^p
         Mr, weight_bound = to_real(M), (logL / (p - logL)) ** p
-    profiles = [w.at(p) for w in data.windows]
+
+        def proof(n):
+            nr = to_real(n)
+            return (4 * Mr * Lr / (2 * nr) + (nr + Mr) / nr * weight_bound) ** (1 / p)
+
+    profiles = [w.at(p) for w in windows]
     cells = []
-    for n, row in data.cuts:
+    for n, row in cuts:
         top = max(pr.scaled_power(c) for pr, c in zip(profiles, row))
         d = (top / to_real(2 * n)) ** (1 / p)
         large = n > M
-        proof = None
-        if large and lemma41:
-            proof = mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / mpmath.sqrt(Lr))
-        elif large:
-            nr = to_real(n)
-            proof = (4 * Mr * Lr / (2 * nr) + (nr + Mr) / nr * weight_bound) ** (1 / p)
-        cells.append(SweepCell(p, n, d, kappa_transfer(p, d), proof, large))
-    return EstimateFragment(
-        p=p,
-        L=data.L,
-        M=M,
-        cells=tuple(cells),
-        analytic_bound=analytic,
-        hypothesis_ok=data.hypothesis_ok,
-    )
+        cells.append(SweepCell(p, n, d, kappa_transfer(p, d), proof(n) if large else None, large))
+    return cells
 
 
 def estimate_p2(S: groupact.GeneratorSet, n_schedule: Sequence) -> EstimateFragment:
     """L^2 window estimator: per-n distortions d_n, the proof's per-n
     certified bound sqrt(2 - 2 ((n-M)/n) L^{-1/2}) for n > M, and the
     analytic limit sqrt2 (1 - L^{-1/2})^{1/2}."""
-    return _estimate(_set_data(S, n_schedule), 2, lemma41=True)
+    return estimate_lp(S, 2, n_schedule)
 
 
 def estimate_lp(S: groupact.GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
-    """L^p window estimator for p > log L: per-n distortions transferred
-    via (p/2) d, the proof's per-n bound on d^p, and the analytic per-p
-    bound p log L / (2 (p - log L)) whose p -> oo limit is (1/2) log L."""
-    return _estimate(_set_data(S, n_schedule), p, lemma41=False)
+    """The cells of `bound_report` at the one exponent p, with the analytic
+    n -> oo limit of their proof bound: at p = 2 that of `estimate_p2`,
+    at any other p (which must exceed log L) p log L / (2 (p - log L)),
+    whose p -> oo limit is (1/2) log L."""
+    report = bound_report(S, [p], n_schedule)
+    p = to_real(p)
+    if p == 2:
+        analytic = report.lemma41_bound
+    else:
+        logL = mpmath.log(to_real(report.L))
+        analytic = p * logL / (2 * (p - logL)) if logL > 0 else mpf(0)
+    return EstimateFragment(p, report.L, report.M, report.sweep, analytic, report.hypothesis_ok)
 
 
 SCHEDULE_KMAX = 12
@@ -364,27 +321,36 @@ def bound_report(
 ) -> BoundReport:
     """Full estimator report: per-generator data, the (p, n) sweep, the
     analytic bounds, and the headline (minimum) certified upper bound."""
-    data = _set_data(S, n_schedule)
+    per_generator = tuple((lab, g.lip_constant(), g.displacement()) for lab, g in S.generators)
+    L = max(lip for _, lip, _ in per_generator)
+    M = max(disp for _, _, disp in per_generator)
+    if n_schedule is None:
+        n_schedule = default_n_schedule(M)
+    if not n_schedule:
+        raise DomainError("empty n schedule")
+    windows = [koopman.WindowMap.of(g) for _, g in S.generators]
+    # each schedule entry n with the cuts of its window by every generator
+    cuts = []
+    for n in map(Fraction, n_schedule):
+        if n <= 0:
+            raise DomainError(f"schedule entries must be positive, got {n}")
+        cuts.append((n, [w.cut(n) for w in windows]))
     if p_list is None:
-        p_list = default_p_list(data.L)
-    sweep: List[SweepCell] = []
-    for p in p_list:
-        sweep.extend(_estimate(data, p, lemma41=to_real(p) == 2).cells)
+        p_list = default_p_list(L)
+    sweep = tuple(cell for p in p_list for cell in _cells(windows, cuts, p, L, M))
 
-    lemma43, lemma41 = phi_inv_branches(to_real(data.L))
+    lemma43, lemma41 = phi_inv_branches(to_real(L))
     phi_inv_L = min(lemma41, lemma43)
-    candidates = [phi_inv_L] + [c.kappa_upper for c in sweep]
-    headline = min(candidates)
     return BoundReport(
         group_name=S.name,
         labels=S.labels,
-        per_generator=data.per_generator,
-        L=data.L,
-        M=data.M,
-        hypothesis_ok=data.hypothesis_ok,
-        sweep=tuple(sweep),
+        per_generator=per_generator,
+        L=L,
+        M=M,
+        hypothesis_ok=groupact.global_fixed_set(S).is_empty,
+        sweep=sweep,
         lemma41_bound=lemma41,
         lemma43_bound=lemma43,
         phi_inv_of_L=phi_inv_L,
-        headline=headline,
+        headline=min([phi_inv_L, *(c.kappa_upper for c in sweep)]),
     )

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 domain error, 2 parse/schema error, 3 from
 to interpret them as certified bounds fails (a global fixed point exists).
 
 Real arguments (`t`, `--p`, `--grid`) are read as mpf at the working
-precision, rationals (`--schedule`, `--base`) exactly. Each `main` call
-runs at its own precision, which ends with the call.
+precision, rationals (`--schedule`, `--base`) exactly. A numeric option's
+value may start with "-" (`--base -3/2`). Each `main` call runs at its own
+precision, which ends with the call.
 
 A command runs only the modules it reads: the library modules are
 registered lazily by the package, and this module reads them at call time.
@@ -108,10 +109,9 @@ def cmd_phi_table(args) -> int:
 def cmd_lip(args) -> int:
     S = _load_group(args.input)
     per_generator = [(lab, g.lip_constant(), g.displacement()) for lab, g in S.generators]
-    payload = {
-        "group_name": S.name,
-        **groupact.lipschitz_obj(per_generator, S.max_lip(), S.max_displacement()),
-    }
+    L = max(lip for _, lip, _ in per_generator)
+    M = max(disp for _, _, disp in per_generator)
+    payload = {"group_name": S.name, **groupact.lipschitz_obj(per_generator, L, M)}
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -288,9 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
 # The commands that compute no reals: they run outside the precision scope
 EXACT_COMMANDS = (cmd_lip, cmd_fixed_points, cmd_limit_diag)
 
+# The options whose value may be negative. argparse takes a value that starts
+# with "-" for an option unless it reads as a plain negative number, as -2
+# does but -3/2, -1e-6 and -1:0:1/4 do not.
+SIGNED_OPTIONS = ("--grid", "--p", "--schedule", "--base", "--tol")
+
+
+def _join_signed_values(argv) -> list:
+    """argv with each signed option and a following value that starts with
+    a single "-" joined into one "--option=value" token."""
+    joined = []
+    for tok in argv:
+        if joined and joined[-1] in SIGNED_OPTIONS and tok[:1] == "-" and tok[:2] != "--":
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return joined
+
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         digits = args.precision
         if digits is None:

@@ -1,5 +1,7 @@
+import collections
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,11 +26,17 @@ from kazhlip import (
     theorem_check,
     window_vector,
 )
+from kazhlip import bounds, koopman, plmap
 from kazhlip.bounds import default_n_schedule, default_p_list
 
 T1 = PLHomeo.translation(1)
 BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
 STEEP = PLHomeo.from_pairs([(0, 0), (1, 16)])  # Lip 16
+BUMP_T = GeneratorSet(
+    "bump-translation",
+    (("a", PLHomeo.from_pairs([(0, 0), (1, F(3, 2)), (2, 2)])), ("t", T1)),
+)
+GOLDEN_BOUND = Path(__file__).parent / "golden" / "bound"
 
 
 def sym(name, *elems):
@@ -239,7 +247,16 @@ class TestEstimateLp:
     def test_p_must_exceed_log_L(self):
         S = sym("steep", STEEP)  # L = 16, log L ~ 2.77
         with pytest.raises(DomainError):
-            estimate_lp(S, 2, [4])
+            estimate_lp(S, F(5, 2), [4])
+
+    def test_p2_is_lemma41_on_every_path(self):
+        """p alone picks the proof bound: at p = 2 it is Lemma 4.1's,
+        whichever view asks for the cells."""
+        schedule = default_n_schedule(BUMP_T.max_displacement())
+        frag = estimate_lp(BUMP_T, 2, schedule)
+        p2 = estimate_p2(BUMP_T, schedule)
+        assert frag.cells == p2.cells == bound_report(BUMP_T, [2], schedule).sweep
+        assert frag.analytic_bound == p2.analytic_bound
 
     def test_analytic_bound_at_twice_log_L(self):
         S = sym("steep", STEEP)
@@ -352,3 +369,37 @@ class TestBoundReport:
     def test_repeated_reports_identical(self):
         S = sym("mixed", BUMP, STEEP)
         assert bound_report(S).to_json() == bound_report(S).to_json()
+
+
+class TestOperationBudget:
+    """What one golden `bound` report costs, counted in calls, so that a
+    change doing more work fails on any machine."""
+
+    def test_random_8x40_report(self, monkeypatch):
+        S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        window = koopman.WindowMap
+        monkeypatch.setattr(window, "of", staticmethod(counted("of", window.of)))
+        monkeypatch.setattr(window, "cut", counted("cut", window.cut))
+        monkeypatch.setattr(window, "at", counted("at", window.at))
+        # every module that calls a name imported it into its own namespace
+        for f in (plmap.evaluate_sorted, plmap.piece_slopes):
+            for module in (plmap, koopman):
+                monkeypatch.setattr(module, f.__name__, counted(f.__name__, f))
+        to_real = bounds.to_real
+        for module in (bounds, koopman):
+            monkeypatch.setattr(module, "to_real", counted("to_real", to_real))
+        bound_report(S)
+        to_reals = calls.pop("to_real")
+        assert calls == {
+            "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "piece_slopes": 16,
+        }
+        assert to_reals <= 1172

@@ -12,7 +12,7 @@ from mpmath import mpf
 
 import kazhlip
 from kazhlip import GeneratorSet, PLHomeo
-from kazhlip.cli import main
+from kazhlip.cli import _join_signed_values, main
 from kazhlip.precision import get_precision, precision
 from kazhlip.figures import phi_branch_table, phi_inv_branch_table, render_svg
 
@@ -47,6 +47,13 @@ def bump_pair_file(tmp_path):
     path = tmp_path / "bump.json"
     path.write_text(S.to_json())
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def no_caller_precision(monkeypatch):
+    """Every test starts without the caller's KAZHLIP_PRECISION, as the
+    golden cases do; a test about the variable sets it itself."""
+    monkeypatch.delenv("KAZHLIP_PRECISION", raising=False)
 
 
 def run(capsys, *argv):
@@ -437,6 +444,40 @@ class TestLimitDiag:
         ]}]}))
         code, out, err = run(capsys, "limit-diag", str(path), f"--tol={tol}")
         assert code == 1 and "tolerance" in err and out == ""
+
+
+class TestSignedOptionValues:
+    """A numeric option's value may start with "-", spaced or joined by "=",
+    whether or not argparse reads it as a plain negative number."""
+
+    INPUTS = {
+        "shrinking": str(GOLDEN / "limit_diag/inputs/shrinking.json"),
+        "bump_t": str(GOLDEN / "bound/inputs/bump_t.json"),
+    }
+
+    @pytest.mark.parametrize("base,printed", [
+        ("-3/2", "-3/2"), ("-2", "-2"), ("-0.5", "-1/2"), ("-1e-3", "-1/1000"),
+    ])
+    def test_base_spaced_as_joined(self, capsys, base, printed):
+        spaced = run(capsys, "limit-diag", self.INPUTS["shrinking"], "--base", base)
+        assert spaced == run(capsys, "limit-diag", self.INPUTS["shrinking"], f"--base={base}")
+        assert spaced[0] == 0 and f'"base": "{printed}"' in spaced[1]
+
+    @pytest.mark.parametrize("argv,field", [
+        (["limit-diag", "{shrinking}", "--tol", "-1e-6"], "tolerance"),
+        (["limit-diag", "{shrinking}", "--tol", "-inf"], "tolerance"),
+        (["bound", "{bump_t}", "--schedule", "-1/2"], "schedule"),
+        (["bound", "{bump_t}", "--schedule", "-1/2,4"], "schedule"),
+        (["phi-table", "--grid", "-1:0:0.5"], "grid"),
+    ])
+    def test_negative_value_reaches_its_domain_check(self, capsys, argv, field):
+        code, out, err = run(capsys, *(tok.format(**self.INPUTS) for tok in argv))
+        assert code == 1 and field in err and out == ""
+
+    def test_only_signed_options_join(self):
+        argv = ["bound", "x.json", "--out", "-o.txt", "--p", "--help", "--schedule", "-1"]
+        want = ["bound", "x.json", "--out", "-o.txt", "--p", "--help", "--schedule=-1"]
+        assert _join_signed_values(argv) == want
 
 
 class TestVerifyAndDeterminism:
