@@ -106,19 +106,25 @@ def kappa_transfer(p, distortion) -> mpf:
     return p / 2 * d
 
 
+def log_power_constant(p: mpf, L: mpf) -> mpf:
+    """The constant c of the log-power inequality |x^{1/p} - 1| <= c for x
+    in [1/L, L], c = log L / (p - log L). p and L are reals; p must exceed
+    log L."""
+    logL = mpmath.log(L)
+    if p <= logL:
+        raise DomainError(f"need p > log(L) = {logL}, got p={p}")
+    return logL / (p - logL)
+
+
 def log_power_bound_check(x, p, L) -> Tuple[bool, mpf]:
-    """Check |x^{1/p} - 1| <= log(L)/(p - log(L)) for L > 1, x in [1/L, L],
-    p > log L; returns (ok, slack) with slack = bound - |x^{1/p} - 1|."""
+    """Check the log-power inequality for L > 1, x in [1/L, L], p > log L;
+    returns (ok, slack) with slack = bound - |x^{1/p} - 1|."""
     x, p, L = to_real(x), to_real(p), to_real(L)
     if L <= 1:
         raise DomainError(f"need L > 1, got {L}")
     if x < 1 / L or x > L:
         raise DomainError(f"need x in [1/L, L], got x={x}, L={L}")
-    logL = mpmath.log(L)
-    if p <= logL:
-        raise DomainError(f"need p > log(L) = {logL}, got p={p}")
-    bound = logL / (p - logL)
-    slack = bound - abs(x ** (1 / p) - 1)
+    slack = log_power_constant(p, L) - abs(x ** (1 / p) - 1)
     return slack >= 0, slack
 
 
@@ -173,13 +179,11 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
         def proof(n):
             return mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / mpmath.sqrt(Lr))
     else:
-        logL = mpmath.log(Lr)
-        if p <= logL:
-            raise DomainError(f"need p > log(L) = {logL}, got p={p}")
+        # the log-power constant to the p bounds every weight |s^{1/p} - 1|^p
+        weight_bound = log_power_constant(p, Lr) ** p
         if p < 2:
             raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
-        # (log L / (p - log L))^p bounds every weight |s^{1/p} - 1|^p
-        Mr, weight_bound = to_real(M), (logL / (p - logL)) ** p
+        Mr = to_real(M)
 
         def proof(n):
             nr = to_real(n)
@@ -205,15 +209,14 @@ def estimate_p2(S: groupact.GeneratorSet, n_schedule: Sequence) -> EstimateFragm
 def estimate_lp(S: groupact.GeneratorSet, p, n_schedule: Sequence) -> EstimateFragment:
     """The cells of `bound_report` at the one exponent p, with the analytic
     n -> oo limit of their proof bound: at p = 2 that of `estimate_p2`,
-    at any other p (which must exceed log L) p log L / (2 (p - log L)),
-    whose p -> oo limit is (1/2) log L."""
+    at any other p (which must exceed log L) p/2 times the log-power
+    constant, whose p -> oo limit is (1/2) log L."""
     report = bound_report(S, [p], n_schedule)
     p = to_real(p)
     if p == 2:
         analytic = report.lemma41_bound
     else:
-        logL = mpmath.log(to_real(report.L))
-        analytic = p * logL / (2 * (p - logL)) if logL > 0 else mpf(0)
+        analytic = p / 2 * log_power_constant(p, to_real(report.L))
     return EstimateFragment(p, report.L, report.M, report.sweep, analytic, report.hypothesis_ok)
 
 
@@ -236,7 +239,6 @@ class BoundReport:
     """All Kazhdan upper-bound data for one generating set."""
 
     group_name: str
-    labels: Tuple[str, ...]
     per_generator: Tuple[Tuple[str, Fraction, Fraction], ...]  # (label, lip, disp)
     L: Fraction
     M: Fraction
@@ -250,7 +252,8 @@ class BoundReport:
     def label_hash(self) -> str:
         import hashlib  # here, so that `phi` and `phi-inv` never load it
 
-        digest = hashlib.sha256("|".join(sorted(self.labels)).encode()).hexdigest()
+        labels = sorted(label for label, _, _ in self.per_generator)
+        digest = hashlib.sha256("|".join(labels).encode()).hexdigest()
         return digest[:12]
 
     def to_obj(self) -> dict:
@@ -281,36 +284,16 @@ class BoundReport:
         return json.dumps(self.to_obj(), indent=2)
 
     def to_csv(self) -> str:
-        """One row per sweep cell."""
+        """One row per sweep cell, from the strings of `to_obj`."""
+        obj = self.to_obj()
+        head = ("group_name", "label_hash")
+        tail = ("lemma41_bound", "lemma43_bound", "phi_inv_of_L")
+        first, last = [obj[k] for k in head], [obj[k] for k in tail]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "group_name",
-                "label_hash",
-                "p",
-                "n",
-                "d",
-                "kappa_upper",
-                "lemma41_bound",
-                "lemma43_bound",
-                "phi_inv_of_L",
-            ]
-        )
-        for i, c in enumerate(self.sweep):
-            writer.writerow(
-                [
-                    self.group_name,
-                    self.label_hash(),
-                    real_str(c.p),
-                    format_rational(c.n, f"sweep[{i}].n"),
-                    real_str(c.distortion),
-                    real_str(c.kappa_upper),
-                    real_str(self.lemma41_bound),
-                    real_str(self.lemma43_bound),
-                    real_str(self.phi_inv_of_L),
-                ]
-            )
+        writer.writerow([*head, "p", "n", "d", "kappa_upper", *tail])
+        for c in obj["sweep"]:
+            writer.writerow([*first, c["p"], c["n"], c["distortion"], c["kappa_upper"], *last])
         return buf.getvalue()
 
 
@@ -343,7 +326,6 @@ def bound_report(
     phi_inv_L = min(lemma41, lemma43)
     return BoundReport(
         group_name=S.name,
-        labels=S.labels,
         per_generator=per_generator,
         L=L,
         M=M,

@@ -6,8 +6,8 @@ to interpret them as certified bounds fails (a global fixed point exists).
 
 Real arguments (`t`, `--p`, `--grid`) are read as mpf at the working
 precision, rationals (`--schedule`, `--base`) exactly. A numeric option's
-value may start with "-" (`--base -3/2`). Each `main` call runs at its own
-precision, which ends with the call.
+value may start with "-" (`--base -3/2`, `--ba -3/2`). Each `main` call runs
+at its own precision, which ends with the call.
 
 A command runs only the modules it reads: the library modules are
 registered lazily by the package, and this module reads them at call time.
@@ -294,12 +294,18 @@ EXACT_COMMANDS = (cmd_lip, cmd_fixed_points, cmd_limit_diag)
 SIGNED_OPTIONS = ("--grid", "--p", "--schedule", "--base", "--tol")
 
 
+def _names_signed_option(tok: str) -> bool:
+    """Whether tok names one signed option, in full or, as argparse reads
+    it, by a prefix of exactly one (`--sched` for `--schedule`)."""
+    return len(tok) > 2 and sum(name.startswith(tok) for name in SIGNED_OPTIONS) == 1
+
+
 def _join_signed_values(argv) -> list:
     """argv with each signed option and a following value that starts with
     a single "-" joined into one "--option=value" token."""
     joined = []
     for tok in argv:
-        if joined and joined[-1] in SIGNED_OPTIONS and tok[:1] == "-" and tok[:2] != "--":
+        if joined and _names_signed_option(joined[-1]) and tok[:1] == "-" and tok[:2] != "--":
             joined[-1] += "=" + tok
         else:
             joined.append(tok)

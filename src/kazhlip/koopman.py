@@ -341,18 +341,6 @@ class WindowProfile(NamedTuple):
         return total
 
 
-def window_distortion(g: PLHomeo, n, p) -> mpf:
-    """||pi(g) xi_n - xi_n||_p for the window xi_n = window_vector(n, p),
-    in closed form: the value koopman_distortion(g, xi_n, p) computes by
-    building pi(g) xi_n."""
-    n = Fraction(n)
-    if n <= 0:
-        raise DomainError(f"window radius must be positive, got {n}")
-    p = check_exponent(p)
-    w = WindowMap.of(g)
-    return (w.at(p).scaled_power(w.cut(n)) / to_real(2 * n)) ** (1 / p)
-
-
 def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     """Per-piece signed power v -> sign(v) |v|^{q/p}; maps the unit sphere
     of L^q onto the unit sphere of L^p."""

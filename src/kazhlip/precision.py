@@ -3,8 +3,9 @@
 Breakpoints, slopes and displacements are exact rationals throughout the
 package; only step-function values, norms and bound functions live in
 floating point. Those use mpmath at a configurable number of significant
-decimal digits (default 30, never below 15). The environment variable
-KAZHLIP_PRECISION, an integer >= 15, overrides the default.
+decimal digits, never below 15. Importing this module sets 30 digits;
+`set_precision` or a `precision(...)` scope changes them. Only the CLI reads
+the environment variable KAZHLIP_PRECISION.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import mpmath
 from mpmath import mpf
 
 # The digit rules need no mpmath; they live in errors and are re-exported here.
-from .errors import DEFAULT_DIGITS, MIN_DIGITS, DomainError, check_digits, env_precision
-
-
-def _initial_digits() -> int:
-    # Importing never fails: an invalid KAZHLIP_PRECISION gives the default
-    # here, and the CLI rejects it through env_precision.
-    try:
-        return env_precision() or DEFAULT_DIGITS
-    except DomainError:
-        return DEFAULT_DIGITS
+from .errors import DEFAULT_DIGITS, MIN_DIGITS, check_digits
 
 
 def set_precision(digits: int) -> None:
@@ -59,4 +51,4 @@ def real_str(x) -> str:
     return mpmath.nstr(mpf(x), mpmath.mp.dps, strip_zeros=False)
 
 
-set_precision(_initial_digits())
+set_precision(DEFAULT_DIGITS)

@@ -26,6 +26,7 @@ from .koopman import (
     normalize,
     refine,
     subtract,
+    window_vector,
 )
 from .plmap import PLHomeo
 from .precision import to_real
@@ -191,7 +192,7 @@ def suite_escape(seed: int = DEFAULT_SEED) -> List[SuiteResult]:
     slacks = []
     for p in (1, 2, 4):
         M = Fraction(2)
-        xi = StepFunction((-M, M), (to_real(2 * M) ** (-1 / mpf(p)),))
+        xi = window_vector(M, p)
         # translation by 2M+1 moves [-M, M] off itself
         shift = t
         w = PLHomeo.identity()

@@ -270,6 +270,27 @@ class TestEstimateLp:
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
         assert all(b > mpmath.log(16) / 2 for b in bounds)
 
+    def test_analytic_bound_zero_at_L_one(self):
+        # p/2 times the log-power constant, which is 0 when log L = 0
+        assert estimate_lp(sym("Z", T1), 4, [1, 2]).analytic_bound == 0
+
+    @pytest.mark.parametrize("p", [F(5, 2), mpmath.log(16)], ids=["below", "equal"])
+    def test_one_message_for_p_at_most_log_L(self, p):
+        """The log-power constant owns the check p > log L: every caller
+        raises its message."""
+        S = sym("steep", STEEP)  # L = 16
+        calls = (
+            lambda: log_power_bound_check(1, p, 16),
+            lambda: bound_report(S, [p], [4]),
+            lambda: estimate_lp(S, p, [4]),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(DomainError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {f"need p > log(L) = {mpmath.log(16)}, got p={bounds.to_real(p)}"}
+
     def test_translation_distortions_shrink(self):
         S = sym("Z", T1)
         frag = estimate_lp(S, 4, [2, 8, 32, 128])

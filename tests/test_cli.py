@@ -365,6 +365,9 @@ class TestGroupCommands:
             (["lip"], "per_generator[0].lip"),
             (["bound"], "L:"),
             (["bound", "--format", "json"], "per_generator[0].lip"),
+            # CSV rows are built from the JSON strings, so CSV fails as JSON does
+            (["bound", "--format", "csv"], "per_generator[0].lip"),
+            (["sweep"], "per_generator[0].lip"),
         ):
             assert_clean_exit_1(run_process(*argv, str(path)), field)
 
@@ -469,14 +472,33 @@ class TestSignedOptionValues:
         (["bound", "{bump_t}", "--schedule", "-1/2"], "schedule"),
         (["bound", "{bump_t}", "--schedule", "-1/2,4"], "schedule"),
         (["phi-table", "--grid", "-1:0:0.5"], "grid"),
+        # a prefix of one option names it, as argparse reads it
+        (["bound", "{bump_t}", "--sched", "-1/2"], "schedule"),
+        (["limit-diag", "{shrinking}", "--t", "-1e-6"], "tolerance"),
+        (["phi-table", "--gr", "-1:0:0.5"], "grid"),
     ])
     def test_negative_value_reaches_its_domain_check(self, capsys, argv, field):
         code, out, err = run(capsys, *(tok.format(**self.INPUTS) for tok in argv))
         assert code == 1 and field in err and out == ""
 
+    @pytest.mark.parametrize("argv,full", [
+        (["limit-diag", "{shrinking}", "--ba", "-3/2"], "--base"),
+        (["bound", "{bump_t}", "--sched", "2"], "--schedule"),
+        (["bound", "{bump_t}", "--s", "-1/2,4"], "--schedule"),
+    ])
+    def test_prefix_as_full_name(self, capsys, argv, full):
+        argv = [tok.format(**self.INPUTS) for tok in argv]
+        assert run(capsys, *argv) == run(capsys, *argv[:2], full, argv[3])
+
     def test_only_signed_options_join(self):
         argv = ["bound", "x.json", "--out", "-o.txt", "--p", "--help", "--schedule", "-1"]
         want = ["bound", "x.json", "--out", "-o.txt", "--p", "--help", "--schedule=-1"]
+        assert _join_signed_values(argv) == want
+
+    def test_only_unambiguous_prefixes_join(self):
+        # "--" and "-" are prefixes of every signed option, "--pr" of none
+        argv = ["--pr", "-1", "--", "-1", "-", "-1", "--sch", "-1", "--t", "-1e-6"]
+        want = ["--pr", "-1", "--", "-1", "-", "-1", "--sch=-1", "--t=-1e-6"]
         assert _join_signed_values(argv) == want
 
 
@@ -544,6 +566,25 @@ class TestStartUp:
                           "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
                           "print(*kazhlip.__all__)")
         assert set(proc.stdout.split()) == PUBLIC
+
+    def test_only_the_cli_reads_the_environment(self):
+        # The library starts at 30 digits whatever KAZHLIP_PRECISION says;
+        # the CLI reads the variable on every call.
+        env = {**os.environ, "KAZHLIP_PRECISION": "40",
+               "PYTHONPATH": str(Path(kazhlip.__file__).parents[1])}
+        library = subprocess.run(
+            [sys.executable, "-c", "import kazhlip, mpmath\n"
+             "print(kazhlip.phi(mpmath.mpf(1) / 10), kazhlip.get_precision())"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        cli = subprocess.run([sys.executable, "-m", "kazhlip.cli", "phi", "0.1"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        value, digits = library.stdout.split()
+        assert digits == "30" and cli.returncode == 0
+        with mpmath.workdps(30):
+            assert value == str(mpmath.e ** (mpf(1) / 5))
+        with mpmath.workdps(40):
+            assert cli.stdout.strip() == mpmath.nstr(mpmath.e ** (mpf(1) / 5), 40)
 
     def test_precision_stays_the_context_manager(self):
         proc = run_python("-c", "import kazhlip.precision, mpmath\n"
