@@ -239,7 +239,7 @@ class BoundReport:
     """All Kazhdan upper-bound data for one generating set."""
 
     group_name: str
-    per_generator: Tuple[Tuple[str, Fraction, Fraction], ...]  # (label, lip, disp)
+    per_generator: Tuple[groupact.LipRow, ...]
     L: Fraction
     M: Fraction
     hypothesis_ok: bool
@@ -304,9 +304,7 @@ def bound_report(
 ) -> BoundReport:
     """Full estimator report: per-generator data, the (p, n) sweep, the
     analytic bounds, and the headline (minimum) certified upper bound."""
-    per_generator = tuple((lab, g.lip_constant(), g.displacement()) for lab, g in S.generators)
-    L = max(lip for _, lip, _ in per_generator)
-    M = max(disp for _, _, disp in per_generator)
+    per_generator, L, M = S.lipschitz_data()
     if n_schedule is None:
         n_schedule = default_n_schedule(M)
     if not n_schedule:
@@ -316,7 +314,9 @@ def bound_report(
     cuts = []
     for n in map(Fraction, n_schedule):
         if n <= 0:
-            raise DomainError(f"schedule entries must be positive, got {n}")
+            raise DomainError(
+                f"schedule entries must be positive, got {format_rational(n, 'schedule')}"
+            )
         cuts.append((n, [w.cut(n) for w in windows]))
     if p_list is None:
         p_list = default_p_list(L)

@@ -108,10 +108,7 @@ def cmd_phi_table(args) -> int:
 
 def cmd_lip(args) -> int:
     S = _load_group(args.input)
-    per_generator = [(lab, g.lip_constant(), g.displacement()) for lab, g in S.generators]
-    L = max(lip for _, lip, _ in per_generator)
-    M = max(disp for _, _, disp in per_generator)
-    payload = {"group_name": S.name, **groupact.lipschitz_obj(per_generator, L, M)}
+    payload = {"group_name": S.name, **groupact.lipschitz_obj(*S.lipschitz_data())}
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:

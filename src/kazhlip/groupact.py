@@ -15,6 +15,7 @@ from .plmap import PLHomeo, format_rational
 DEFAULT_BALL_CAP = 100_000
 
 Letter = Tuple[str, int]  # (label, +1 or -1)
+LipRow = Tuple[str, Fraction, Fraction]  # (label, Lip, displacement)
 
 
 def reduce_letters(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
@@ -66,6 +67,14 @@ class Word:
         return Word(self.letters + other.letters)
 
 
+def load_json(text: str, path: str):
+    """The JSON value of `text`; SchemaError at `path` if it is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad syntax, or an int over Python's digit limit
+        raise SchemaError(f"invalid JSON: {exc}", path) from exc
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     name: str
@@ -96,11 +105,17 @@ class GeneratorSet:
                 return g
         raise DomainError(f"unknown generator label {label!r}")
 
+    def lipschitz_data(self) -> Tuple[Tuple[LipRow, ...], Fraction, Fraction]:
+        """Each generator's (label, Lip, displacement), and their maxima L
+        and M."""
+        rows = tuple((label, g.lip_constant(), g.displacement()) for label, g in self.generators)
+        return rows, max(lip for _, lip, _ in rows), max(disp for _, _, disp in rows)
+
     def max_lip(self) -> Fraction:
-        return max(g.lip_constant() for _, g in self.generators)
+        return self.lipschitz_data()[1]
 
     def max_displacement(self) -> Fraction:
-        return max(g.displacement() for _, g in self.generators)
+        return self.lipschitz_data()[2]
 
     # -- serialization ---------------------------------------------------
 
@@ -145,19 +160,15 @@ class GeneratorSet:
 
     @staticmethod
     def from_json(text: str) -> "GeneratorSet":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # bad syntax, or an int over Python's digit limit
-            raise SchemaError(f"invalid JSON: {exc}", "generator_set") from exc
-        return GeneratorSet.from_obj(obj)
+        return GeneratorSet.from_obj(load_json(text, "generator_set"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2)
 
 
-def lipschitz_obj(per_generator: Sequence[Tuple[str, Fraction, Fraction]], L, M) -> dict:
-    """The exact strings of each generator's (label, Lip, displacement) and
-    of their maxima L and M, as `bound` and `lip` print them."""
+def lipschitz_obj(per_generator: Sequence[LipRow], L, M) -> dict:
+    """The exact strings of `GeneratorSet.lipschitz_data`, as `bound` and
+    `lip` print them."""
     return {
         "per_generator": [
             {

@@ -53,12 +53,6 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.components
 
-    def contains(self, x: Fraction) -> bool:
-        for lo, hi in self.components:
-            if (lo is None or lo <= x) and (hi is None or x <= hi):
-                return True
-        return False
-
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         out = []
         for alo, ahi in self.components:

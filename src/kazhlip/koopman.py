@@ -74,21 +74,6 @@ class StepFunction:
         object.__setattr__(f, "values", values)
         return f
 
-    @staticmethod
-    def indicator(a, b, value=1) -> "StepFunction":
-        return StepFunction((Fraction(a), Fraction(b)), (mpf(value),))
-
-    @property
-    def support(self) -> Tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    def value_at(self, x: Fraction) -> mpf:
-        """Value on the piece containing x (right-continuous convention)."""
-        if x < self.breakpoints[0] or x >= self.breakpoints[-1]:
-            return mpf(0)
-        i = bisect_right(self.breakpoints, x) - 1
-        return self.values[i]
-
     def scale(self, c) -> "StepFunction":
         c = to_real(c)
         if not mpmath.isfinite(c):

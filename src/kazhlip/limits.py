@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceLimitError, SchemaError
-from .groupact import GeneratorSet, Word, word_evaluate
+from .groupact import GeneratorSet, Word, load_json, word_evaluate
 from .plmap import format_rational
 
 DEFAULT_CAUCHY_TOL = 1e-6
@@ -117,11 +116,7 @@ class ActionSequence:
 
     @staticmethod
     def from_json(text: str) -> "ActionSequence":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # bad syntax, or an int over Python's digit limit
-            raise SchemaError(f"invalid JSON: {exc}", "action_sequence") from exc
-        return ActionSequence.from_obj(obj)
+        return ActionSequence.from_obj(load_json(text, "action_sequence"))
 
 
 def lip_trend(seq: ActionSequence) -> Dict[str, List[Tuple[int, Fraction]]]:
@@ -129,8 +124,8 @@ def lip_trend(seq: ActionSequence) -> Dict[str, List[Tuple[int, Fraction]]]:
     label; stage indices are 0-based positions in the sequence."""
     out: Dict[str, List[Tuple[int, Fraction]]] = {lab: [] for lab in seq.labels}
     for i, stage in enumerate(seq.stages):
-        for lab, g in stage.generators:
-            out[lab].append((i, g.lip_constant()))
+        for lab, lip, _ in stage.lipschitz_data()[0]:
+            out[lab].append((i, lip))
     return out
 
 
@@ -264,16 +259,13 @@ def limit_translation_diagnostic(
         lips = {v: elems[v].lip_constant() for v in factors}
         for rows, (v, w, vw) in zip(per_stage, pairs):
             rows.append((i, abs(t[vw] - t[v] - t[w]), (lips[v] - 1) * abs(t[w])))
-        gen_lips = {lab: g.lip_constant() for lab, g in stage.generators}
-        attaining, max_disp = max(
-            ((lab, g.displacement()) for lab, g in stage.generators), key=lambda pair: pair[1]
-        )
+        lip_rows, max_lip, max_disp = stage.lipschitz_data()
         stage_records.append(
             StageRecord(
                 index=i,
-                max_lip=max(gen_lips.values()),
+                max_lip=max_lip,
                 max_disp_after_normalization=max_disp,
-                attaining_label=attaining,
+                attaining_label=next(lab for lab, _, disp in lip_rows if disp == max_disp),
                 word_values=tuple((str(w), tw) for w, tw in t.items()),
             )
         )
@@ -287,7 +279,7 @@ def limit_translation_diagnostic(
         for rows, (v, w, _) in zip(per_stage, pairs)
     )
     # Lipschitz constants are invariant under the normalizing conjugation.
-    flags = {lab: lip - 1 <= LIP_TO_ONE_TOL for lab, lip in gen_lips.items()}
+    flags = {lab: lip - 1 <= LIP_TO_ONE_TOL for lab, lip, _ in lip_rows}
     problems = []
     if not all(flags.values()):
         bad = sorted(lab for lab, ok in flags.items() if not ok)

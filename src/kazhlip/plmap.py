@@ -98,11 +98,14 @@ def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
 def _check_increasing(nodes: Sequence[Node]) -> None:
     if not nodes:
         raise DomainError("a PL map needs at least one node")
-    for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
+    # format_rational: a coordinate may have more digits than str() prints
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(nodes, nodes[1:]), 1):
         if x1 <= x0:
-            raise DomainError(f"x-coordinates not strictly increasing at x={x1}")
+            x = format_rational(x1, f"nodes[{i}][0]")
+            raise DomainError(f"x-coordinates not strictly increasing at x={x}")
         if y1 <= y0:
-            raise DomainError(f"y-coordinates not strictly increasing at y={y1}")
+            y = format_rational(y1, f"nodes[{i}][1]")
+            raise DomainError(f"y-coordinates not strictly increasing at y={y}")
 
 
 def _drop_collinear(nodes: Sequence[Node]) -> Tuple[Node, ...]:
@@ -204,19 +207,6 @@ class PLHomeo:
     def is_identity(self) -> bool:
         return self.nodes == ((Fraction(0), Fraction(0)),)
 
-    @property
-    def left_offset(self) -> Fraction:
-        x0, y0 = self.nodes[0]
-        return y0 - x0
-
-    @property
-    def right_offset(self) -> Fraction:
-        xk, yk = self.nodes[-1]
-        return yk - xk
-
-    def interior_slopes(self) -> Tuple[Fraction, ...]:
-        return piece_slopes(self.nodes)
-
     def evaluate(self, x) -> Fraction:
         xs, ys = zip(*self.nodes)
         return evaluate_sorted(xs, ys, (Fraction(x),))[0]
@@ -282,7 +272,7 @@ class PLHomeo:
 
     def lip_constant(self) -> Fraction:
         """max over a.e. slopes of f and f^{-1} (tails contribute 1)."""
-        slopes = self.interior_slopes() or (Fraction(1),)
+        slopes = piece_slopes(self.nodes) or (Fraction(1),)
         return max(Fraction(1), max(slopes), 1 / min(slopes))
 
     def displacement(self) -> Fraction:
@@ -295,9 +285,10 @@ class PLHomeo:
             return IntervalUnion.whole_line()
         parts = []
         nodes = self.nodes
-        if self.left_offset == 0:
+        # a tail whose offset is 0 is fixed pointwise
+        if nodes[0][0] == nodes[0][1]:
             parts.append((None, nodes[0][0]))
-        if self.right_offset == 0:
+        if nodes[-1][0] == nodes[-1][1]:
             parts.append((nodes[-1][0], None))
         for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
             d0, d1 = y0 - x0, y1 - x1

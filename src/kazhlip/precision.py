@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_rational
 
 # The digit rules need no mpmath; they live in errors and are re-exported here.
 from .errors import DEFAULT_DIGITS, MIN_DIGITS, check_digits
@@ -40,9 +41,9 @@ def precision(digits: int):
 
 def to_real(x) -> mpf:
     """Convert an exact rational / int / float / mpf to mpf at the
-    current working precision."""
+    current working precision, rounded once to nearest."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
+        return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec, "n"))
     return mpf(x)
 
 

@@ -194,12 +194,7 @@ def suite_escape(seed: int = DEFAULT_SEED) -> List[SuiteResult]:
         M = Fraction(2)
         xi = window_vector(M, p)
         # translation by 2M+1 moves [-M, M] off itself
-        shift = t
-        w = PLHomeo.identity()
-        for _ in range(int(2 * M) + 1):
-            w = w.compose(shift)
-        assert w.evaluate(-M) > M
-        d = koopman_distortion(w, xi, p)
+        d = koopman_distortion(PLHomeo.translation(2 * M + 1), xi, p)
         slacks.append(d - (2 ** (1 / mpf(p))) + mpf("1e-12"))
     return [
         ("no global fixed point", 1, 0 if ok else 1, None),

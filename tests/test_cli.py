@@ -381,6 +381,17 @@ class TestGroupCommands:
             proc = run_process("fixed-points", str(path), "--format", fmt)
             assert_clean_exit_1(proc, "fixed_set")
 
+    def test_unprintable_value_in_error_exit_1(self, tmp_path, bump_pair_file):
+        # The error names a value of 4,301 digits: a repeated node
+        # coordinate, or a negative schedule entry.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "x", "generators": [
+            {"label": "a", "map": {"nodes": [["0", "1e4300"], ["1e4300", "1e4300"]]}}
+        ]}))
+        assert_clean_exit_1(run_process("lip", str(path)), "nodes[1][1]")
+        proc = run_process("bound", bump_pair_file, "--schedule=-1e4300")
+        assert_clean_exit_1(proc, "schedule")
+
 
 class TestLimitDiag:
     def test_diag_json(self, capsys, tmp_path):

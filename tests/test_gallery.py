@@ -1,0 +1,95 @@
+"""Named groups as exact oracles: facts about them that come from outside
+the package, checked on the inputs of tests/golden/gallery, whose CLI
+outputs the golden runner compares.
+
+Thompson's group F acts on R by x0 = the translation by -1 and x1 = the
+identity on x <= 0, x/2 on [0, 2] and x - 1 on x >= 2. Its sphere sizes in
+these generators were computed here; they agree with the growth counts of
+F in Guba (2004) and in Elder, Fusy and Rechnitzer, "Counting elements and
+geodesics in Thompson's group F" (2010), which serve as a cross-check.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from kazhlip import GeneratorSet, PLHomeo, Word, ball, global_fixed_set, word_evaluate
+
+GALLERY = Path(__file__).parent / "golden" / "gallery" / "inputs"
+THOMPSON_F = GeneratorSet.from_json((GALLERY / "thompson_F.json").read_text())
+BUMPS = GeneratorSet.from_json((GALLERY / "commuting_bumps.json").read_text())
+
+F_SPHERES = [1, 4, 12, 36, 108, 314, 906, 2576, 7280]
+
+
+def inverse(text: str) -> str:
+    """The word `text` of Word.parse, inverted."""
+    return " ".join(
+        tok[:-3] if tok.endswith("^-1") else f"{tok}^-1" for tok in reversed(text.split())
+    )
+
+
+@pytest.fixture(scope="module")
+def f_ball():
+    """ball(F, 8), and the compose calls it took."""
+    calls = Counter()
+    compose = PLHomeo.compose
+
+    def counting(f, g):
+        calls["compose"] += 1
+        return compose(f, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLHomeo, "compose", counting)
+        elems = ball(THOMPSON_F, 8)
+    return elems, calls["compose"]
+
+
+class TestThompsonF:
+    def test_generators(self):
+        x0, x1 = (g for _, g in THOMPSON_F.generators)
+        assert x0 == PLHomeo.translation(-1)
+        assert [x1(x) for x in (-3, 0, 1, 2, 5)] == [-3, 0, F(1, 2), 1, 4]
+
+    @pytest.mark.parametrize("conj", ["x0^-1 x1 x0", "x0^-1 x0^-1 x1 x0 x0"])
+    def test_defining_relations(self, conj):
+        # [x0 x1^-1, x0^-k x1 x0^k] = 1 for k = 1, 2
+        a, b = "x0 x1^-1", conj
+        w = Word.parse(f"{a} {b} {inverse(a)} {inverse(b)}")
+        assert word_evaluate(w, THOMPSON_F).is_identity
+
+    def test_not_abelian(self):
+        w = Word.parse("x0 x1 x0^-1 x1^-1")
+        assert not word_evaluate(w, THOMPSON_F).is_identity
+
+    def test_no_global_fixed_point(self):
+        assert global_fixed_set(THOMPSON_F).is_empty
+
+    def test_lipschitz_data(self):
+        rows, L, M = THOMPSON_F.lipschitz_data()
+        assert rows == (("x0", 1, 1), ("x1", 2, 1))
+        assert (L, M) == (2, 1)
+
+    def test_sphere_sizes_to_radius_8(self, f_ball):
+        elems, _ = f_ball
+        sizes = Counter(len(word) for _, word in elems)
+        assert [sizes[r] for r in range(9)] == F_SPHERES
+        assert len(elems) == sum(F_SPHERES) == 11237
+
+    def test_ball_compose_budget(self, f_ball):
+        # 4 steps from the identity, 3 from each other element inside radius 7
+        elems, composes = f_ball
+        assert composes == 4 + 3 * (sum(F_SPHERES[:8]) - 1) == 11872
+
+
+class TestCommutingBumps:
+    def test_commute(self):
+        a, b = (g for _, g in BUMPS.generators)
+        assert a.compose(b) == b.compose(a) != PLHomeo.identity()
+
+    def test_ball_is_z2(self):
+        # in Z^2 the sphere of radius r has 4r elements
+        sizes = Counter(len(word) for _, word in ball(BUMPS, 4))
+        assert [sizes[r] for r in range(5)] == [1, 4, 8, 12, 16]

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction as F
 
@@ -20,9 +21,11 @@ from kazhlip import (
     subtract,
     window_vector,
 )
+from kazhlip import koopman
 from kazhlip.koopman import WindowMap, refine
 from kazhlip.precision import precision, to_real
 from kazhlip.verify import random_plhomeo, random_step_function
+from oracles import indicator, support, value_at
 
 TOL = mpf("1e-12")
 BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
@@ -30,12 +33,12 @@ BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
 
 def brute_force_lp(xi, p, grid=10000):
     """Riemann-sum oracle on a uniform rational grid over the support."""
-    a, b = xi.support
+    a, b = support(xi)
     h = F(b - a, grid)
     total = mpf(0)
     for i in range(grid):
         x = a + h * i
-        total += abs(xi.value_at(x)) ** mpf(p) * mpf(h.numerator) / mpf(h.denominator)
+        total += abs(value_at(xi, x)) ** mpf(p) * mpf(h.numerator) / mpf(h.denominator)
     return total ** (1 / mpf(p))
 
 
@@ -43,16 +46,17 @@ def assert_pointwise(g, xi, p, out):
     """(pi(g) xi)(x) = xi(g^{-1}(x)) (Dg^{-1}(x))^{1/p}, read at each
     output piece's midpoint through the inverse map."""
     ginv = g.invert()
-    assert out.support == (g(xi.support[0]), g(xi.support[1]))
+    a, b = support(xi)
+    assert support(out) == (g(a), g(b))
     for a, b, v in zip(out.breakpoints, out.breakpoints[1:], out.values):
         mid = (a + b) / 2
-        assert v == xi.value_at(ginv(mid)) * to_real(ginv.slope_at(mid)) ** (1 / mpf(p))
+        assert v == value_at(xi, ginv(mid)) * to_real(ginv.slope_at(mid)) ** (1 / mpf(p))
 
 
 class TestLpNorm:
     def test_unit_indicator(self):
         for p in (1, 2, 3.5, 16):
-            assert abs(lp_norm(StepFunction.indicator(0, 1), p) - 1) <= TOL
+            assert abs(lp_norm(indicator(0, 1), p) - 1) <= TOL
 
     def test_window_is_unit(self):
         assert abs(lp_norm(window_vector(2, 2), 2) - 1) <= TOL
@@ -72,14 +76,12 @@ class TestLpNorm:
 
     def test_invalid_exponent(self):
         with pytest.raises(DomainError):
-            lp_norm(StepFunction.indicator(0, 1), F(1, 2))
+            lp_norm(indicator(0, 1), F(1, 2))
 
 
 class TestInnerProduct:
     def test_disjoint_supports(self):
-        assert inner_product(
-            StepFunction.indicator(0, 1), StepFunction.indicator(2, 3)
-        ) == 0
+        assert inner_product(indicator(0, 1), indicator(2, 3)) == 0
 
     def test_self_inner_product_is_norm_squared(self):
         rng = random.Random(5)
@@ -88,19 +90,19 @@ class TestInnerProduct:
             assert abs(inner_product(xi, xi) - lp_norm(xi, 2) ** 2) <= TOL
 
     def test_overlap_length(self):
-        got = inner_product(StepFunction.indicator(0, 2), StepFunction.indicator(1, 3))
+        got = inner_product(indicator(0, 2), indicator(1, 3))
         assert abs(got - 1) <= TOL
 
 
 class TestKoopmanApply:
     def test_translation_shifts(self):
-        xi = StepFunction.indicator(0, 1, 3)
+        xi = indicator(0, 1, 3)
         out = koopman_apply(PLHomeo.translation(F(5, 2)), xi, 7)
         assert out.breakpoints == (F(5, 2), F(7, 2))
         assert out.values == (mpf(3),)
 
     def test_slope_weight(self):
-        out = koopman_apply(BUMP, StepFunction.indicator(0, 1), 2)
+        out = koopman_apply(BUMP, indicator(0, 1), 2)
         assert out.breakpoints == (F(0), F(2))
         assert abs(out.values[0] - 1 / mpmath.sqrt(2)) <= TOL
 
@@ -169,6 +171,24 @@ class TestDistortion:
             d = koopman_distortion(far, xi, p)
             assert abs(d - 2 ** (1 / mpf(p))) <= TOL
 
+    def test_operation_budget(self, monkeypatch):
+        # one image, one difference (one refinement) and one norm per call
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        for name in ("koopman_apply", "subtract", "refine", "lp_norm"):
+            monkeypatch.setattr(koopman, name, counted(name, getattr(koopman, name)))
+        rng = random.Random(5)
+        g, xi = random_plhomeo(rng, max_nodes=20), random_step_function(rng, max_pieces=30)
+        koopman_distortion(g, xi, 3)
+        assert calls == {"koopman_apply": 1, "subtract": 1, "refine": 1, "lp_norm": 1}
+
 
 class TestWindowVector:
     def test_p2_value(self):
@@ -192,7 +212,7 @@ class TestWindowVector:
 
 class TestMazurMap:
     def test_indicator_fixed(self):
-        xi = StepFunction.indicator(0, 1)
+        xi = indicator(0, 1)
         out = mazur_map(xi, 2, 16)
         assert out.values == (mpf(1),)
 
@@ -381,7 +401,7 @@ def pl_maps(draw):
 
 def refine_oracle(xi, eta):
     breaks = sorted(set(xi.breakpoints) | set(eta.breakpoints))
-    return [(a, b, xi.value_at(a), eta.value_at(a)) for a, b in zip(breaks, breaks[1:])]
+    return [(a, b, value_at(xi, a), value_at(eta, a)) for a, b in zip(breaks, breaks[1:])]
 
 
 def assert_validated(r):
@@ -415,4 +435,4 @@ class TestTrustedResults:
     @pytest.mark.parametrize("c", [mpf("inf"), mpf("-inf"), mpf("nan")])
     def test_scale_rejects_non_finite(self, c):
         with pytest.raises(DomainError):
-            StepFunction.indicator(0, 1).scale(c)
+            indicator(0, 1).scale(c)

@@ -111,6 +111,17 @@ class TestLimitDiagnostic:
             assert rec.max_disp_after_normalization == 1
             assert rec.attaining_label == "g"
 
+    def test_attaining_label_is_first_maximum(self):
+        # a and c both move points by 2, b by 1: the record names whichever
+        # of a and c comes first in the set
+        maps = {"a": PLHomeo.translation(2), "b": PLHomeo.translation(-1),
+                "c": PLHomeo.translation(-2)}
+        for order, first in (("abc", "a"), ("cba", "c"), ("bca", "c")):
+            S = GeneratorSet("s", tuple((lab, maps[lab]) for lab in order))
+            seq = ActionSequence(tuple(order), (S,))
+            diag = limit_translation_diagnostic(seq, [Word.parse("a")])
+            assert diag.stages[0].attaining_label == first
+
     def test_lip_not_tending_to_one_flagged(self):
         bad = PLHomeo.from_pairs([(0, 0), (1, 3)])  # Lip 3 at every stage
         seq = ActionSequence(

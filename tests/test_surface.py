@@ -1,0 +1,46 @@
+"""No library function or method is reached only from tests: each one is
+public (in kazhlip.__all__), or the package or the benchmark refers to it.
+A test oracle belongs in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+import kazhlip
+
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "kazhlip").glob("*.py"))
+
+
+def referenced_names(paths) -> set:
+    """Every name, attribute and imported name in the files, and the dotted
+    parts of every string without spaces: `getattr(module, name)` and the
+    benchmark's span table name functions by string."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if not any(c.isspace() for c in node.value):
+                    out.update(node.value.split("."))
+    return out
+
+
+def test_nothing_only_tests_reach():
+    reached = referenced_names([*SOURCES, *sorted((ROOT / "benchmarks").glob("*.py"))])
+    defined = {
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    unreached = sorted(
+        f"{module}:{name}"
+        for module, name in defined
+        if not name.startswith("__") and name not in kazhlip.__all__ and name not in reached
+    )
+    assert unreached == []
