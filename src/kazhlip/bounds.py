@@ -173,29 +173,34 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
     """The window estimator's cells at exponent p. Each cell takes the
     largest 2n d^p over the generators, one p-th root, the transfer (p/2) d
     and, for n > M, the proof's per-n bound: Lemma 4.1's at p = 2, the L^p
-    one at any other p, which needs p > log L and p >= 2."""
+    one at any other p, which needs p > log L and p >= 2. `cuts` holds each
+    schedule entry n with n and 2n as reals and its window's cuts."""
     p, Lr = to_real(p), to_real(L)
+    inv_p = 1 / p
     if p == 2:
-        def proof(n):
-            return mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / mpmath.sqrt(Lr))
+        root_L = mpmath.sqrt(Lr)
+
+        def proof(n, nr):
+            return mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / root_L)
     else:
         # the log-power constant to the p bounds every weight |s^{1/p} - 1|^p
         weight_bound = log_power_constant(p, Lr) ** p
         if p < 2:
             raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
         Mr = to_real(M)
+        four_ML = 4 * Mr * Lr
 
-        def proof(n):
-            nr = to_real(n)
-            return (4 * Mr * Lr / (2 * nr) + (nr + Mr) / nr * weight_bound) ** (1 / p)
+        def proof(n, nr):
+            return (four_ML / (2 * nr) + (nr + Mr) / nr * weight_bound) ** inv_p
 
     profiles = [w.at(p) for w in windows]
     cells = []
-    for n, row in cuts:
+    for n, nr, two_n, row in cuts:
         top = max(pr.scaled_power(c) for pr, c in zip(profiles, row))
-        d = (top / to_real(2 * n)) ** (1 / p)
+        d = (top / two_n) ** inv_p
         large = n > M
-        cells.append(SweepCell(p, n, d, kappa_transfer(p, d), proof(n) if large else None, large))
+        bound = proof(n, nr) if large else None
+        cells.append(SweepCell(p, n, d, kappa_transfer(p, d), bound, large))
     return cells
 
 
@@ -310,14 +315,15 @@ def bound_report(
     if not n_schedule:
         raise DomainError("empty n schedule")
     windows = [koopman.WindowMap.of(g) for _, g in S.generators]
-    # each schedule entry n with the cuts of its window by every generator
+    # each schedule entry n with the reals n and 2n, and the cuts of its
+    # window by every generator
     cuts = []
     for n in map(Fraction, n_schedule):
         if n <= 0:
             raise DomainError(
                 f"schedule entries must be positive, got {format_rational(n, 'schedule')}"
             )
-        cuts.append((n, [w.cut(n) for w in windows]))
+        cuts.append((n, to_real(n), to_real(2 * n), [w.cut(n) for w in windows]))
     if p_list is None:
         p_list = default_p_list(L)
     sweep = tuple(cell for p in p_list for cell in _cells(windows, cuts, p, L, M))

@@ -16,17 +16,20 @@ carries the unit sphere of L^q onto the unit sphere of L^p.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (
+    fone, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow, mpf_pow_int, mpf_sub, mpf_sum,
+)
 
 from .errors import DomainError
 from .plmap import PLHomeo, evaluate_sorted, piece_slopes
-from .precision import to_real
+from .precision import ROUNDING, to_real
 
 
 def check_exponent(p) -> mpf:
@@ -252,7 +255,8 @@ class WindowMap(NamedTuple):
         )
 
     def cut(self, n: Fraction) -> "WindowCut":
-        """How the window [-n, n], n > 0, meets the map."""
+        """How the window [-n, n], n > 0, meets the map: two bisections
+        of the y_j, whatever the number of pieces."""
         if n >= self.n0:
             return WindowCut(covers_nodes=True)
         xs, ys = self.xs, self.ys
@@ -262,34 +266,49 @@ class WindowMap(NamedTuple):
             return WindowCut(covers_nodes=False, exact=to_real(4 * n))
         inv_lo, inv_hi = evaluate_sorted(ys, xs, (-n, n))
         preimage = min(inv_hi, n) - max(inv_lo, -n)
-        full, partial = [], []
-        j = max(bisect_right(ys, lo) - 1, 0)
-        while j < len(ys) - 1 and ys[j] < hi:
-            a, b = max(ys[j], lo), min(ys[j + 1], hi)
-            if (a, b) == (ys[j], ys[j + 1]):
-                full.append(j)
-            elif a < b:
-                partial.append((j, to_real(b - a)))
-            j += 1
+        # the pieces [y_j, y_{j+1}] inside O are those with a <= j < b; only
+        # piece a - 1, which holds lo, and piece b, which holds hi, can be
+        # cut short, and they may be one piece
+        a, b = bisect_left(ys, lo), bisect_right(ys, hi) - 1
+        cut_short = []
+        if 0 < a < len(ys) and lo < ys[a]:
+            cut_short.append(a - 1)
+        if 0 <= b < len(ys) - 1 and ys[b] < hi and b != a - 1:
+            cut_short.append(b)
         return WindowCut(
             covers_nodes=False,
             exact=to_real(4 * n - (hi - lo) - preimage),
-            full=range(full[0], full[-1] + 1) if full else range(0),
-            partial=tuple(partial),
+            full=range(a, b),
+            partial=tuple(
+                (j, to_real(min(ys[j + 1], hi) - max(ys[j], lo))) for j in cut_short
+            ),
         )
 
     def at(self, p) -> "WindowProfile":
-        """The per-piece weights and the constant K at exponent p."""
+        """The per-piece weights and the constant K at exponent p. The
+        arithmetic runs on raw libmp values, with the operations and the
+        rounding of the mpf expressions |s^{1/p} - 1|^p, w_j (y_{j+1} - y_j)
+        and tails + fsum(masses), so it gives their bits."""
         p = check_exponent(p)
+        prec = mpmath.mp.prec
         r = 1 / p
         if r == 1 or r == 0.5:
             # mpf ** needs no logarithm here (a power, a square root)
-            roots = [s ** r for s in self.slopes]
+            roots = [(s ** r)._mpf_ for s in self.slopes]
         else:
-            roots = [mpmath.exp(mpmath.fmul(r, c, exact=True)) for c in self.log_slopes]
-        weights = tuple(abs(x - 1) ** p for x in roots)
-        masses = tuple(w * length for w, length in zip(weights, self.lengths))
-        return WindowProfile(weights, masses, self.tails + mpmath.fsum(masses))
+            r = r._mpf_  # r log s_j is exact, as mpmath.fmul(..., exact=True)
+            roots = [mpf_exp(mpf_mul(r, c._mpf_), prec, ROUNDING) for c in self.log_slopes]
+        # mpf ** p takes an integer power when p is an integer
+        power, q = (mpf_pow_int, int(p)) if p == int(p) else (mpf_pow, p._mpf_)
+        weights = tuple(
+            power(mpf_abs(mpf_sub(x, fone, prec, ROUNDING)), q, prec, ROUNDING) for x in roots
+        )
+        masses = tuple(
+            mpf_mul(w, length._mpf_, prec, ROUNDING) for w, length in zip(weights, self.lengths)
+        )
+        # mpf_sum is the exact sum, rounded once, that mpmath.fsum takes
+        constant = mpf_add(self.tails._mpf_, mpf_sum(masses, prec, ROUNDING), prec, ROUNDING)
+        return WindowProfile(weights, masses, mpmath.mp.make_mpf(constant))
 
 
 class WindowCut(NamedTuple):
@@ -305,11 +324,12 @@ class WindowCut(NamedTuple):
 
 
 class WindowProfile(NamedTuple):
-    """One map's window data at one exponent p."""
+    """One map's window data at one exponent p. The weights and masses are
+    raw libmp values (`mpf._mpf_`) at the working precision."""
 
-    weights: Tuple[mpf, ...]  # w_j
-    masses: Tuple[mpf, ...]   # w_j (y_{j+1} - y_j)
-    constant: mpf             # K
+    weights: Tuple[tuple, ...]  # w_j
+    masses: Tuple[tuple, ...]   # w_j (y_{j+1} - y_j)
+    constant: mpf               # K
 
     def scaled_power(self, cut: WindowCut) -> mpf:
         """2n ||pi(g) xi_n - xi_n||_p^p for the window that `cut` describes."""
@@ -318,12 +338,14 @@ class WindowProfile(NamedTuple):
         # Summed piece by piece rather than as a difference of prefix sums:
         # at large p the weights span hundreds of orders of magnitude, and
         # heavy pieces outside O would cancel the light ones inside.
-        total = cut.exact
+        prec, masses, weights = mpmath.mp.prec, self.masses, self.weights
+        total = cut.exact._mpf_
         for j in cut.full:
-            total += self.masses[j]
+            total = mpf_add(total, masses[j], prec, ROUNDING)
         for j, length in cut.partial:
-            total += self.weights[j] * length
-        return total
+            part = mpf_mul(weights[j], length._mpf_, prec, ROUNDING)
+            total = mpf_add(total, part, prec, ROUNDING)
+        return mpmath.mp.make_mpf(total)
 
 
 def mazur_map(xi: StepFunction, q, p) -> StepFunction:

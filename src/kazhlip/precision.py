@@ -20,6 +20,11 @@ from mpmath.libmp import from_rational
 # The digit rules need no mpmath; they live in errors and are re-exported here.
 from .errors import DEFAULT_DIGITS, MIN_DIGITS, check_digits
 
+# The rounding direction of the reals that the package rounds itself:
+# to_real, and the window estimator's libmp arithmetic in koopman. To
+# nearest, as mpf arithmetic in mpmath's default context rounds.
+ROUNDING = "n"
+
 
 def set_precision(digits: int) -> None:
     mpmath.mp.dps = check_digits(digits)
@@ -43,7 +48,8 @@ def to_real(x) -> mpf:
     """Convert an exact rational / int / float / mpf to mpf at the
     current working precision, rounded once to nearest."""
     if isinstance(x, Fraction):
-        return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec, "n"))
+        rounded = from_rational(x.numerator, x.denominator, mpmath.mp.prec, ROUNDING)
+        return mpmath.mp.make_mpf(rounded)
     return mpf(x)
 
 

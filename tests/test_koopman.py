@@ -25,6 +25,7 @@ from kazhlip import koopman
 from kazhlip.koopman import WindowMap, refine
 from kazhlip.precision import precision, to_real
 from kazhlip.verify import random_plhomeo, random_step_function
+import oracles
 from oracles import indicator, support, value_at
 
 TOL = mpf("1e-12")
@@ -333,8 +334,10 @@ class TestWindowDistortion:
                 assert closed_form_distortion(raw, n, p) == closed_form_distortion(frac, n, p)
 
     def test_weights_keep_the_digits_of_pow(self):
-        # The weights come from log s_j taken once per map; they must equal
-        # |s^{1/p} - 1|^p as mpf ** computes it, digit for digit.
+        # `at` and `scaled_power` run on raw libmp values; they must give the
+        # bits of the mpf loops in the oracles. The weights come from log s_j
+        # taken once per map, and must equal |s^{1/p} - 1|^p as mpf **
+        # computes it. p = 2.5 takes mpf_pow rather than mpf_pow_int.
         rng = random.Random(11)
         maps = [random_plhomeo(rng, max_nodes=10) for _ in range(40)]
         # g^{-1} has slope 111/10, 82/47 or 187/35 on one piece: for these,
@@ -345,12 +348,21 @@ class TestWindowDistortion:
             with precision(digits):
                 for g in maps:
                     wm = WindowMap.of(g)
+                    cuts = [wm.cut(wm.n0 * k) for k in (F(1, 5), F(1, 2), F(9, 10), 1)]
                     for p in (1, 2, mpf("2.5"), 3, 16, 64):
                         pr = to_real(p)
-                        want = tuple(
+                        got, want = wm.at(p), oracles.window_profile(wm, p)
+                        pow_weights = tuple(
                             abs(to_real(s) ** (1 / pr) - 1) ** pr for s in wm.inv_slopes
                         )
-                        assert wm.at(p).weights == want, (g.nodes, digits, p)
+                        case = (g.nodes, digits, p)
+                        assert want[0] == pow_weights, case
+                        assert got.weights == tuple(w._mpf_ for w in want[0]), case
+                        assert got.masses == tuple(m._mpf_ for m in want[1]), case
+                        assert got.constant._mpf_ == want[2]._mpf_, case
+                        for c in cuts:
+                            assert (got.scaled_power(c)._mpf_
+                                    == oracles.scaled_power(want, c)._mpf_), (case, c)
 
     def test_window_data_at_high_precision(self):
         # Window data built and used under one precision carries all of it.
@@ -365,6 +377,63 @@ class TestWindowDistortion:
                         want = koopman_distortion(g, window_vector(n, p), p)
                         got = closed_form_distortion(g, n, p)
                         assert abs(got - want) <= rel * want, (g.nodes, p, n, got, want)
+
+
+@st.composite
+def window_cut_cases(draw):
+    """A map of 1 to 8 nodes and a window radius n of one kind: n at a
+    node's x or y, g(n) or g(-n) at a node, the window's overlap with its
+    image inside one piece, the window disjoint from its image, or n >= N0.
+    Returns the kind, the map's window data and n."""
+    xs = sorted(draw(st.lists(rationals, min_size=1, max_size=8, unique=True)))
+    ys = sorted(draw(st.lists(rationals, min_size=len(xs), max_size=len(xs), unique=True)))
+    xs, ys = zip(*PLHomeo(tuple(zip(xs, ys))).nodes)  # the canonical nodes
+    kinds = ["node", "image at node", "disjoint", "past n0"]
+    kind = draw(st.sampled_from(kinds + ["inside one piece"] if len(xs) > 1 else kinds))
+    if kind == "inside one piece":
+        # move piece j's midpoint to the fixed point 0; windows up to a
+        # quarter of the piece's shorter side then meet only that piece
+        j = draw(st.integers(0, len(xs) - 2))
+        c, d = (xs[j] + xs[j + 1]) / 2, (ys[j] + ys[j + 1]) / 2
+        xs, ys = [x - c for x in xs], [y - d for y in ys]
+        side = min(xs[j + 1], ys[j + 1])
+        n = side * draw(st.fractions(F(1, 64), F(1, 4)))
+    elif kind == "disjoint":
+        # g(x) >= x + 60 for every x, so g[-n, n] misses [-n, n] for n <= 30
+        ys = [y + 100 for y in ys]
+        n = draw(st.fractions(F(1, 8), 30))
+    g = PLHomeo(tuple(zip(xs, ys)))
+    wm = WindowMap.of(g)
+    if kind == "node":
+        n = draw(st.sampled_from([abs(v) for v in xs + ys if v] or [F(1)]))
+    elif kind == "image at node":
+        # g(n) = v for n = g^{-1}(v) > 0, g(-n) = v for n = -g^{-1}(v) > 0
+        ginv = g.invert()
+        n = draw(st.sampled_from([abs(ginv(v)) for v in xs + ys if ginv(v)] or [F(1)]))
+    elif kind == "past n0":
+        n = max(wm.n0, F(1, 8)) * draw(st.sampled_from((1, F(3, 2), 2, 100)))
+    return kind, wm, n
+
+
+class TestWindowCut:
+    @settings(max_examples=200, deadline=None)
+    @given(window_cut_cases())
+    def test_bisection_matches_the_scan(self, case):
+        # The cut finds its pieces by two bisections; the oracle scans every
+        # piece that meets O. An off-by-one in either bisection drops or
+        # adds a piece, or cuts a full one short.
+        kind, wm, n = case
+        got, want = wm.cut(n), oracles.window_cut(wm, n)
+        assert got.covers_nodes == want.covers_nodes
+        assert got.exact == want.exact
+        assert list(got.full) == list(want.full)
+        assert got.partial == want.partial
+        if kind == "inside one piece":
+            assert not want.full and len(want.partial) == 1
+        elif kind == "disjoint":
+            assert want.exact == to_real(4 * n) and not want.partial
+        elif kind == "past n0":
+            assert want.covers_nodes
 
 
 # Results that koopman.py builds without validation must be exactly what the
