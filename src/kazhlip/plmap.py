@@ -14,6 +14,10 @@ pure translation by c collapses to the single node (0, c) and the
 identity to (0, 0). Canonical node tuples are the equality oracle. Maps
 built from caller nodes are validated and canonicalised; the group
 operations build results that are canonical by construction and skip both.
+
+Coordinates are ints or Fractions. Each exact result (a value, a slope, a
+root) is formed from the integer numerators and denominators of its inputs
+and normalised once, as one Fraction(num, den).
 """
 
 from __future__ import annotations
@@ -88,16 +92,35 @@ def format_rational(q: Fraction, path: str = "") -> str:
         ) from exc
 
 
+def _slope_pairs(nodes: Sequence[Node]) -> list:
+    """The slope of each piece between consecutive nodes as an unreduced
+    pair of ints (num, den), den > 0. Coordinates are ints or Fractions."""
+    pairs = []
+    x0, y0 = nodes[0]
+    a, b, c, d = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+    for x1, y1 in nodes[1:]:
+        e, f, g, h = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+        # (g/h - c/d) / (e/f - a/b) = (g d - c h) b f / ((e b - a f) d h)
+        pairs.append(((g * d - c * h) * b * f, (e * b - a * f) * d * h))
+        a, b, c, d = e, f, g, h
+    return pairs
+
+
 def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
     """The slope of each piece between consecutive nodes, as a Fraction."""
-    return tuple(
-        Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])
-    )
+    return tuple(Fraction(num, den) for num, den in _slope_pairs(nodes))
 
 
-def _check_increasing(nodes: Sequence[Node]) -> None:
+def _check_nodes(nodes: Sequence[Node]) -> None:
     if not nodes:
         raise DomainError("a PL map needs at least one node")
+    # the kernel reads the numerator and denominator of every coordinate
+    for i, node in enumerate(nodes):
+        for j, c in enumerate(node):
+            if not isinstance(c, (int, Fraction)):
+                raise DomainError(
+                    f"nodes[{i}][{j}]: expected an int or a Fraction, got {type(c).__name__}"
+                )
     # format_rational: a coordinate may have more digits than str() prints
     for i, ((x0, y0), (x1, y1)) in enumerate(zip(nodes, nodes[1:]), 1):
         if x1 <= x0:
@@ -112,10 +135,13 @@ def _drop_collinear(nodes: Sequence[Node]) -> Tuple[Node, ...]:
     """The canonical form of a strictly increasing node list."""
     # Node i sits between slopes[i] and slopes[i + 1]; the tails have slope
     # 1. Removing a collinear node never changes its neighbours' slopes, so
-    # a single pass suffices.
-    slopes = [1, *piece_slopes(nodes), 1]
+    # a single pass suffices. Both denominators are positive, so the slopes
+    # differ exactly when their cross-products do.
+    slopes = [(1, 1), *_slope_pairs(nodes), (1, 1)]
     kept = tuple(
-        node for node, left, right in zip(nodes, slopes, slopes[1:]) if left != right
+        node
+        for node, (n0, d0), (n1, d1) in zip(nodes, slopes, slopes[1:])
+        if n0 * d1 != n1 * d0
     )
     if kept:
         return kept
@@ -148,22 +174,36 @@ def _merge_nodes(xs, ys, us, vs):
 def evaluate_sorted(xs: Sequence, ys: Sequence, points: Iterable) -> list:
     """The PL map through the increasing nodes (xs[i], ys[i]), with slope-1
     tails, at each of the increasing rational points, in one walk over the
-    nodes. At Fraction points the values are Fractions, also for int nodes.
-    With xs and ys swapped it is the inverse map."""
-    left, right = ys[0] - xs[0], ys[-1] - xs[-1]
+    nodes. The values are Fractions, also for int nodes and int points.
+    With xs and ys swapped it is the inverse map.
+
+    Each value is built from the numerators and denominators of the point
+    and its nodes and normalised once."""
     out = []
+    last = len(xs) - 1
     i = 0
     for x in points:
         i = bisect_right(xs, x, i)  # xs[i - 1] <= x < xs[i]
-        if i == 0:
-            out.append(x + left)
-        elif x == xs[i - 1]:
-            out.append(Fraction(ys[i - 1]))
-        elif i == len(xs):
-            out.append(x + right)
+        if i and x == xs[i - 1]:
+            y = ys[i - 1]
+            out.append(y if type(y) is Fraction else Fraction(y))
+            continue
+        p, q = x.numerator, x.denominator
+        if i == 0 or i > last:
+            # a tail: x + (y_j - x_j) at the end node j
+            j = 0 if i == 0 else last
+            a, b, c, d = xs[j].numerator, xs[j].denominator, ys[j].numerator, ys[j].denominator
+            out.append(Fraction(p * b * d + (c * b - a * d) * q, q * b * d))
         else:
-            x0, y0 = xs[i - 1], ys[i - 1]
-            out.append(y0 + Fraction((x - x0) * (ys[i] - y0), xs[i] - x0))
+            # y0 + (x - x0)(y1 - y0)/(x1 - x0) with x0 = a/b, y0 = c/d,
+            # x1 = e/f, y1 = g/h and x = p/q
+            x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
+            a, b, c, d = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+            e, f, g, h = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+            run = e * b - a * f
+            out.append(Fraction(
+                c * h * q * run + f * (p * b - a * q) * (g * d - c * h), d * h * q * run
+            ))
     return out
 
 
@@ -175,7 +215,7 @@ class PLHomeo:
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
-        _check_increasing(nodes)
+        _check_nodes(nodes)
         object.__setattr__(self, "nodes", _drop_collinear(nodes))
 
     # -- constructors -------------------------------------------------
@@ -272,8 +312,17 @@ class PLHomeo:
 
     def lip_constant(self) -> Fraction:
         """max over a.e. slopes of f and f^{-1} (tails contribute 1)."""
-        slopes = piece_slopes(self.nodes) or (Fraction(1),)
-        return max(Fraction(1), max(slopes), 1 / min(slopes))
+        # the largest and the smallest slope as unreduced pairs, both
+        # starting from the tails' 1; only the winner is normalised
+        hi = lo = (1, 1)
+        for num, den in _slope_pairs(self.nodes):
+            if num * hi[1] > hi[0] * den:
+                hi = (num, den)
+            if num * lo[1] < lo[0] * den:
+                lo = (num, den)
+        if lo[1] * hi[1] > hi[0] * lo[0]:  # 1 / lo > hi; slopes are positive
+            hi = (lo[1], lo[0])
+        return Fraction(*hi)
 
     def displacement(self) -> Fraction:
         """sup |f(x) - x|; attained at a node or on a tail."""
@@ -290,16 +339,22 @@ class PLHomeo:
             parts.append((None, nodes[0][0]))
         if nodes[-1][0] == nodes[-1][1]:
             parts.append((nodes[-1][0], None))
-        for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
-            d0, d1 = y0 - x0, y1 - x1
-            if d0 == 0 and d1 == 0:
+        # each node's x = a/b and offset y - x = u/v, as unreduced ints
+        offsets = []
+        for x, y in nodes:
+            a, b = x.numerator, x.denominator
+            offsets.append((x, a, b, y.numerator * b - a * y.denominator, b * y.denominator))
+        for (x0, a, b, u, v), (x1, e, f, s, t) in zip(offsets, offsets[1:]):
+            if u == 0 and s == 0:
                 parts.append((x0, x1))
-            elif d0 == 0:
+            elif u == 0:
                 parts.append((x0, x0))
-            elif d1 == 0:
+            elif s == 0:
                 parts.append((x1, x1))
-            elif (d0 < 0) != (d1 < 0):
-                root = x0 + Fraction((x1 - x0) * d0, d0 - d1)
+            elif (u < 0) != (s < 0):
+                # the offset is linear in x, so it vanishes at
+                # (x1 d0 - x0 d1) / (d0 - d1) with d0 = u/v and d1 = s/t
+                root = Fraction(e * b * u * t - a * f * s * v, b * f * (u * t - s * v))
                 parts.append((root, root))
         return IntervalUnion.from_intervals(parts)
 

@@ -426,7 +426,7 @@ class TestOperationBudget:
         bound_report(S)
         to_reals = calls.pop("to_real")
         assert calls == {
-            "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "piece_slopes": 16,
+            "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "piece_slopes": 8,
             "exp": 1560, "log": 319,
         }
         assert to_reals <= 1055

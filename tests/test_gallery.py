@@ -9,6 +9,7 @@ F in Guba (2004) and in Elder, Fusy and Rechnitzer, "Counting elements and
 geodesics in Thompson's group F" (2010), which serve as a cross-check.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -33,18 +34,23 @@ def inverse(text: str) -> str:
 
 @pytest.fixture(scope="module")
 def f_ball():
-    """ball(F, 8), and the compose calls it took."""
+    """ball(F, 8), and the compose calls and Fraction constructions it took."""
     calls = Counter()
-    compose = PLHomeo.compose
+    compose, new = PLHomeo.compose, F.__new__
 
     def counting(f, g):
         calls["compose"] += 1
         return compose(f, g)
 
+    def constructing(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PLHomeo, "compose", counting)
+        mp.setattr(F, "__new__", constructing)
         elems = ball(THOMPSON_F, 8)
-    return elems, calls["compose"]
+    return elems, calls
 
 
 class TestThompsonF:
@@ -80,8 +86,18 @@ class TestThompsonF:
 
     def test_ball_compose_budget(self, f_ball):
         # 4 steps from the identity, 3 from each other element inside radius 7
-        elems, composes = f_ball
-        assert composes == 4 + 3 * (sum(F_SPHERES[:8]) - 1) == 11872
+        elems, calls = f_ball
+        assert calls["compose"] == 4 + 3 * (sum(F_SPHERES[:8]) - 1) == 11872
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="fractions builds its results differently in other versions",
+    )
+    def test_ball_fraction_budget(self, f_ball):
+        # the exact kernel builds each value, slope and root as one
+        # normalised Fraction, with no intermediate
+        _, calls = f_ball
+        assert calls["Fraction"] == 51799
 
 
 class TestCommutingBumps:

@@ -1,9 +1,12 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from kazhlip import DomainError, IntervalUnion, PLHomeo, SchemaError, parse_rational
 from kazhlip.plmap import evaluate_sorted, piece_slopes
@@ -31,24 +34,30 @@ def interp_oracle(nodes, x):
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
 )
+# The kernel multiplies unreduced numerators and denominators; these
+# rationals have parts of up to 200 bits and either sign.
+WIDE = 2**200
+wide_ints = st.integers(-WIDE, WIDE)
+wide_rationals = st.builds(F, wide_ints, st.integers(1, WIDE))
+wide_positives = st.builds(F, st.integers(1, WIDE), st.integers(1, WIDE))
 
 
 @st.composite
-def plhomeos(draw, max_nodes=6):
+def plhomeos(draw, max_nodes=6, coords=rationals):
     xs = draw(
-        st.lists(rationals, min_size=1, max_size=max_nodes, unique=True)
+        st.lists(coords, min_size=1, max_size=max_nodes, unique=True)
     )
     ys = draw(
-        st.lists(rationals, min_size=len(xs), max_size=len(xs), unique=True)
+        st.lists(coords, min_size=len(xs), max_size=len(xs), unique=True)
     )
     return PLHomeo(tuple(zip(sorted(xs), sorted(ys))))
 
 
 @st.composite
-def int_plhomeos(draw, max_nodes=6):
+def int_plhomeos(draw, max_nodes=6, ints=st.integers(-50, 50)):
     """Maps built from int nodes, which canonicalisation keeps as ints."""
-    xs = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=max_nodes, unique=True))
-    ys = draw(st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs), unique=True))
+    xs = draw(st.lists(ints, min_size=1, max_size=max_nodes, unique=True))
+    ys = draw(st.lists(ints, min_size=len(xs), max_size=len(xs), unique=True))
     return PLHomeo(tuple(zip(sorted(xs), sorted(ys))))
 
 
@@ -57,6 +66,74 @@ def int_plhomeos(draw, max_nodes=6):
 any_plhomeos = st.one_of(
     plhomeos(), rationals.map(PLHomeo.translation), st.just(IDENT), int_plhomeos()
 )
+wide_plhomeos = plhomeos(coords=wide_rationals)
+any_wide_plhomeos = st.one_of(
+    wide_plhomeos,
+    wide_rationals.map(PLHomeo.translation),
+    st.just(IDENT),
+    int_plhomeos(ints=wide_ints),
+)
+
+
+# The kernel's formulas as plain Fraction expressions, each normalised
+# step by step: the references for its integer cross-products.
+
+
+def slopes_oracle(nodes):
+    return [F(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])]
+
+
+def canonical_oracle(nodes):
+    """The nodes where the slope changes, the tails having slope 1; a
+    translation by c collapses to (0, c)."""
+    slopes = [F(1), *slopes_oracle(nodes), F(1)]
+    kept = tuple(n for n, a, b in zip(nodes, slopes, slopes[1:]) if a != b)
+    return kept or ((F(0), nodes[0][1] - nodes[0][0]),)
+
+
+def lip_oracle(f):
+    slopes = slopes_oracle(f.nodes)
+    return max([F(1), *slopes, *(1 / s for s in slopes)])
+
+
+def check_fixed_set(f):
+    """f.fixed_set() is exactly {x : f(x) = x}. f(x) - x is linear between
+    consecutive points of `pts`, which hold every node and every finite
+    end of a component: so it agrees on `pts`, between them and on both
+    tails, and it changes sign between no two neighbours of `pts`."""
+    fs = f.fixed_set()
+    ends = {e for c in fs.components for e in c if e is not None}
+    pts = sorted({x for x, _ in f.nodes} | ends)
+    probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
+    for x in probes:
+        assert contains(fs, x) == (f.evaluate(x) == x)
+    gaps = [f.evaluate(x) - x for x in pts]
+    assert all(g0 * g1 >= 0 for g0, g1 in zip(gaps, gaps[1:]))
+
+
+@st.composite
+def collinear_insertions(draw):
+    """(nodes, padded): a wide map's canonical nodes, and the same map with
+    nodes added inside its pieces and on its tails, each on the line that
+    is already there."""
+    f = draw(wide_plhomeos)
+    nodes = list(f.nodes)
+    inside = st.fractions(min_value=0, max_value=1, max_denominator=WIDE).filter(
+        lambda t: 0 < t < 1
+    )
+    padded = []
+    for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
+        padded.append((x0, y0))
+        for t in sorted(set(draw(st.lists(inside, max_size=3)))):
+            padded.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    padded.append(nodes[-1])
+    # the tails are the slope-1 lines through the end nodes
+    x, y = nodes[0]
+    gaps = sorted(set(draw(st.lists(wide_positives, max_size=2))))
+    padded = [(x - g, y - g) for g in reversed(gaps)] + padded
+    x, y = nodes[-1]
+    padded += [(x + g, y + g) for g in gaps]
+    return tuple(nodes), tuple(padded)
 
 
 def compose_oracle(f, g):
@@ -90,14 +167,14 @@ class TestEvaluate:
 
 
 @st.composite
-def sorted_points(draw, coords):
+def sorted_points(draw, coords, anywhere=rationals):
     """Increasing points, with repeats, drawn from the node coordinates, the
     midpoints between them, both tails and anywhere else."""
     coords = sorted(coords)
     special = coords + [F(a + b, 2) for a, b in zip(coords, coords[1:])]
     special += [coords[0] - 1, coords[-1] + 1]
     points = draw(
-        st.lists(st.one_of(st.sampled_from(special), rationals), min_size=1, max_size=12)
+        st.lists(st.one_of(st.sampled_from(special), anywhere), min_size=1, max_size=12)
     )
     return sorted(points + points[:2])
 
@@ -117,6 +194,20 @@ class TestEvaluateSorted:
         points = data.draw(sorted_points(ys))
         inv = f.invert()
         assert evaluate_sorted(ys, xs, points) == [inv.evaluate(y) for y in points]
+
+    @given(st.data())
+    def test_wide_rationals_match_the_oracle(self, data):
+        f = data.draw(st.one_of(wide_plhomeos, int_plhomeos(ints=wide_ints)))
+        xs, ys = zip(*f.nodes)
+        points = data.draw(sorted_points(xs, wide_rationals))
+        values = evaluate_sorted(xs, ys, points)
+        assert all(type(v) is F for v in values)
+        assert values == [interp_oracle(f.nodes, x) for x in points]
+        # the inverse, and int points
+        points = data.draw(sorted_points(ys, wide_ints))
+        assert evaluate_sorted(ys, xs, points) == [
+            interp_oracle(f.invert().nodes, y) for y in points
+        ]
 
     @given(st.data())
     def test_int_nodes_give_fractions(self, data):
@@ -170,6 +261,38 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             PLHomeo.from_pairs([(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize(
+        "nodes, field",
+        [
+            (((0.5, 1.0), (1.5, 2.0)), "nodes[0][0]"),
+            (((0, mpf(1)),), "nodes[0][1]"),
+            (((0, 0), (Decimal("1.5"), 2)), "nodes[1][0]"),
+        ],
+        ids=["float", "mpf", "Decimal"],
+    )
+    def test_rejects_non_rational_coordinates(self, nodes, field):
+        with pytest.raises(DomainError, match=re.escape(field)):
+            PLHomeo(nodes)
+
+    @given(st.one_of(wide_plhomeos, int_plhomeos(ints=wide_ints)))
+    def test_wide_rationals_match_the_oracle(self, f):
+        assert f.nodes == canonical_oracle(f.nodes)
+        assert PLHomeo(f.nodes).nodes == f.nodes
+
+    @given(collinear_insertions())
+    def test_collinear_nodes_collapse(self, case):
+        nodes, padded = case
+        assert PLHomeo(padded).nodes == nodes == canonical_oracle(padded)
+
+    @given(st.data())
+    def test_collinear_run_with_a_wide_slope(self, data):
+        xs = sorted(data.draw(st.lists(wide_rationals, min_size=2, max_size=6, unique=True)))
+        slope = data.draw(wide_positives)
+        c = data.draw(wide_rationals)
+        nodes = tuple((x, c + slope * x) for x in xs)
+        want = (nodes[0], nodes[-1]) if slope != 1 else ((F(0), c),)
+        assert PLHomeo(nodes).nodes == want == canonical_oracle(nodes)
+
 
 class TestCompose:
     def test_translations_add(self):
@@ -219,6 +342,14 @@ class TestTrustedResults:
         assert f.compose(g).nodes == compose_oracle(f, g).nodes
         assert g.compose(f).nodes == compose_oracle(g, f).nodes
 
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_wide_compose_matches_validating_oracle(self, data):
+        f = data.draw(any_wide_plhomeos)
+        g = data.draw(st.one_of(any_wide_plhomeos, st.just(f.invert())))
+        assert f.compose(g).nodes == compose_oracle(f, g).nodes
+        assert g.compose(f).nodes == compose_oracle(g, f).nodes
+
 
 class TestInvert:
     def test_examples(self):
@@ -246,6 +377,11 @@ class TestLipConstant:
         assert set(slopes) == {F(1, 2), F(3)}
         oracle = max([F(1)] + [s for s in slopes] + [1 / s for s in slopes])
         assert f.lip_constant() == oracle == 3
+
+    @given(st.one_of(plhomeos(), wide_plhomeos, int_plhomeos(ints=wide_ints)))
+    def test_matches_the_slope_oracle(self, f):
+        lip = f.lip_constant()
+        assert type(lip) is F and lip == lip_oracle(f)
 
     @given(plhomeos())
     def test_inverse_has_same_lip(self, f):
@@ -350,3 +486,7 @@ class TestFixedSet:
     @settings(max_examples=80)
     def test_membership_agrees_with_evaluate(self, f, x):
         assert contains(f.fixed_set(), x) == (f.evaluate(x) == x)
+
+    @given(st.one_of(plhomeos(), wide_plhomeos, int_plhomeos(ints=wide_ints)))
+    def test_exact_on_every_piece(self, f):
+        check_fixed_set(f)
