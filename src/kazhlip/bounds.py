@@ -103,6 +103,11 @@ def kappa_transfer(p, distortion) -> mpf:
         raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
     if d < 0:
         raise DomainError(f"distortion must be >= 0, got {d}")
+    return _transfer(p, d)
+
+
+def _transfer(p: mpf, d: mpf) -> mpf:
+    """(p/2) d for reals that kappa_transfer would accept."""
     return p / 2 * d
 
 
@@ -193,6 +198,9 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
         def proof(n, nr):
             return (four_ML / (2 * nr) + (nr + Mr) / nr * weight_bound) ** inv_p
 
+    # `at` trusts p: this one check rejects the nan and inf that the
+    # checks above let through
+    p = koopman.check_exponent(p)
     profiles = [w.at(p) for w in windows]
     cells = []
     for n, nr, two_n, row in cuts:
@@ -200,7 +208,7 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
         d = (top / two_n) ** inv_p
         large = n > M
         bound = proof(n, nr) if large else None
-        cells.append(SweepCell(p, n, d, kappa_transfer(p, d), bound, large))
+        cells.append(SweepCell(p, n, d, _transfer(p, d), bound, large))
     return cells
 
 

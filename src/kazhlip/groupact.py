@@ -208,10 +208,12 @@ def ball(
         steps.append(((label, 1), g))
         steps.append(((label, -1), g.invert()))
 
-    seen: Dict[tuple, Tuple[PLHomeo, Word]] = {}
     ident = PLHomeo.identity()
-    seen[ident.nodes] = (ident, Word(()))
-    frontier = [seen[ident.nodes]]
+    entries: List[Tuple[PLHomeo, Word]] = [(ident, Word(()))]
+    # each element's position in entries, by node tuple; one lookup, and so
+    # one hash of the tuple, per product
+    index: Dict[tuple, int] = {ident.nodes: 0}
+    frontier = entries[:]
     for _ in range(radius):
         nxt = []
         for elem, word in frontier:
@@ -221,17 +223,18 @@ def ball(
                 if letter == back:
                     continue
                 new = elem.compose(g)
-                if new.nodes in seen:
-                    continue
-                if len(seen) >= cap:
+                size = len(entries)
+                if index.setdefault(new.nodes, size) < size:
+                    continue  # seen before
+                if size >= cap:
                     raise ResourceLimitError(
                         f"ball size exceeded the cap of {cap} elements"
                     )
                 entry = (new, Word(word.letters + (letter,)))
-                seen[new.nodes] = entry
+                entries.append(entry)
                 nxt.append(entry)
         frontier = nxt
-    return list(seen.values())
+    return entries
 
 
 def global_fixed_set(S: GeneratorSet) -> IntervalUnion:

@@ -6,6 +6,9 @@ exact common refinements of breakpoints, so the only numerical error is
 value rounding at the working precision (see :mod:`kazhlip.precision`).
 Step functions built from caller input are validated; the operations here
 build results that are valid by construction and skip the validation.
+They compute on raw libmp values (`mpf._mpf_`) with the operations and the
+rounding of the mpf expressions they replace, so they give the same bits,
+and make one mpf per value of their result.
 
 The action of a PL homeomorphism g on L^p is
     (pi(g) xi)(x) = xi(g^{-1}(x)) * (Dg^{-1}(x))^{1/p},
@@ -24,11 +27,12 @@ from typing import NamedTuple, Tuple
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
-    fone, mpf_abs, mpf_add, mpf_exp, mpf_mul, mpf_pow, mpf_pow_int, mpf_sub, mpf_sum,
+    fone, fzero, from_rational, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pow,
+    mpf_pow_int, mpf_rdiv_int, mpf_sub, mpf_sum,
 )
 
 from .errors import DomainError
-from .plmap import PLHomeo, evaluate_sorted, piece_slopes
+from .plmap import PLHomeo, _slope_pairs, evaluate_sorted, piece_slopes
 from .precision import ROUNDING, to_real
 
 
@@ -81,8 +85,16 @@ class StepFunction:
         c = to_real(c)
         if not mpmath.isfinite(c):
             raise DomainError(f"scale factor must be finite, got {c}")
+        return self._scaled(c._mpf_)
+
+    def _scaled(self, c: tuple) -> "StepFunction":
+        """scale by c, a raw libmp value that is finite."""
         # mpf arithmetic never overflows, so every product is finite
-        return StepFunction._trusted(self.breakpoints, tuple(v * c for v in self.values))
+        prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+        return StepFunction._trusted(
+            self.breakpoints,
+            tuple(make(mpf_mul(v._mpf_, c, prec, ROUNDING)) for v in self.values),
+        )
 
 
 _ZERO = mpf(0)
@@ -120,20 +132,34 @@ def refine(xi: StepFunction, eta: StepFunction):
 
 def subtract(xi: StepFunction, eta: StepFunction) -> StepFunction:
     pieces = refine(xi, eta)
+    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
     return StepFunction._trusted(
         (pieces[0][0], *[b for _, b, _, _ in pieces]),
-        tuple(u - v for _, _, u, v in pieces),
+        tuple(make(mpf_sub(u._mpf_, v._mpf_, prec, ROUNDING)) for _, _, u, v in pieces),
     )
 
 
 def lp_norm(xi: StepFunction, p) -> mpf:
     """(sum |v_i|^p * (b_{i+1} - b_i))^{1/p} with exact piece lengths."""
-    p = check_exponent(p)
-    total = mpf(0)
-    for (a, b), v in zip(zip(xi.breakpoints, xi.breakpoints[1:]), xi.values):
-        if v != 0:
-            total += abs(v) ** p * to_real(b - a)
-    return total ** (1 / p)
+    return mpmath.mp.make_mpf(_lp_norm(xi, check_exponent(p)))
+
+
+def _lp_norm(xi: StepFunction, p: mpf) -> tuple:
+    """lp_norm as a raw libmp value, for a p that check_exponent returned.
+    Each piece length b - a is its unreduced integer cross-product,
+    rounded once."""
+    prec, q = mpmath.mp.prec, p._mpf_
+    bps = xi.breakpoints
+    an, ad = bps[0].numerator, bps[0].denominator
+    total = fzero
+    for b, v in zip(bps[1:], xi.values):
+        bn, bd, v = b.numerator, b.denominator, v._mpf_
+        if v != fzero:
+            length = from_rational(bn * ad - an * bd, bd * ad, prec, ROUNDING)
+            power = mpf_pow(mpf_abs(v, prec, ROUNDING), q, prec, ROUNDING)
+            total = mpf_add(total, mpf_mul(power, length, prec, ROUNDING), prec, ROUNDING)
+        an, ad = bn, bd
+    return mpf_pow(total, mpf_rdiv_int(1, q, prec, ROUNDING), prec, ROUNDING)
 
 
 def inner_product(xi: StepFunction, eta: StepFunction) -> mpf:
@@ -150,10 +176,17 @@ def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
     piece [a, b) of xi lies in one piece of g and maps to [g(a), g(b)),
     where g^{-1} has a constant slope s (1 on the tails); the value there
     is v * s^{1/p}. g is increasing, so the image breakpoints are too."""
-    r = 1 / check_exponent(p)
+    return _koopman_apply(g, xi, check_exponent(p))
+
+
+def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
+    """koopman_apply for a p that check_exponent returned."""
+    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+    r = mpf_rdiv_int(1, p._mpf_, prec, ROUNDING)
     bps, vals = xi.breakpoints, xi.values
     gx, gy = zip(*g.nodes)
-    inv = tuple(zip(gy, gx))  # the nodes of g^{-1}
+    # the slope of g^{-1} on [y_j, y_{j+1}], an unreduced pair of ints
+    inv_slopes = _slope_pairs(tuple(zip(gy, gx)))
     n = len(gx)
     # k counts g's nodes at or left of the current point; a pure
     # translation has no slope changes, so its node is never merged
@@ -162,14 +195,15 @@ def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
     last = root = None
     for v, b in zip(vals, bps[1:]):
         # xi is v on [xs[-1], b); each node of g inside ends one piece
+        v = v._mpf_
         while True:
-            if v == 0:
+            if v == fzero:
                 values.append(_ZERO)
             else:
                 if k != last:  # one root per piece of g
-                    s = piece_slopes(inv[k - 1 : k + 1])[0] if 0 < k < n else 1
-                    root, last = to_real(s) ** r, k
-                values.append(v * root)
+                    s = from_rational(*inv_slopes[k - 1], prec, ROUNDING) if 0 < k < n else fone
+                    root, last = mpf_pow(s, r, prec, ROUNDING), k
+                values.append(make(mpf_mul(v, root, prec, ROUNDING)))
             if k == n or gx[k] >= b:
                 break
             xs.append(gx[k])
@@ -182,7 +216,8 @@ def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
 
 def koopman_distortion(g: PLHomeo, xi: StepFunction, p) -> mpf:
     """||pi(g) xi - xi||_p over the common breakpoint refinement."""
-    return lp_norm(subtract(koopman_apply(g, xi, p), xi), p)
+    p = check_exponent(p)
+    return mpmath.mp.make_mpf(_lp_norm(subtract(_koopman_apply(g, xi, p), xi), p))
 
 
 def window_vector(n, p) -> StepFunction:
@@ -288,8 +323,8 @@ class WindowMap(NamedTuple):
         """The per-piece weights and the constant K at exponent p. The
         arithmetic runs on raw libmp values, with the operations and the
         rounding of the mpf expressions |s^{1/p} - 1|^p, w_j (y_{j+1} - y_j)
-        and tails + fsum(masses), so it gives their bits."""
-        p = check_exponent(p)
+        and tails + fsum(masses), so it gives their bits. p is a real that
+        check_exponent returned."""
         prec = mpmath.mp.prec
         r = 1 / p
         if r == 1 or r == 0.5:
@@ -352,20 +387,23 @@ def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     """Per-piece signed power v -> sign(v) |v|^{q/p}; maps the unit sphere
     of L^q onto the unit sphere of L^p."""
     q = check_exponent(q)
-    p = check_exponent(p)
-    r = q / p
+    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+    r = mpf_div(q._mpf_, check_exponent(p)._mpf_, prec, ROUNDING)
     out = []
     for v in xi.values:
-        if v == 0:
+        v = v._mpf_
+        if v == fzero:
             out.append(_ZERO)
         else:
-            out.append(mpmath.sign(v) * abs(v) ** r)
+            power = mpf_pow(mpf_abs(v, prec, ROUNDING), r, prec, ROUNDING)
+            # sign(v) |v|^r: a product with +-1 that changes no bit
+            out.append(make(mpf_neg(power, prec, ROUNDING) if v[0] else power))
     return StepFunction._trusted(xi.breakpoints, tuple(out))
 
 
 def normalize(xi: StepFunction, p) -> StepFunction:
     """Rescale to unit L^p norm."""
-    norm = lp_norm(xi, p)
-    if norm == 0:
+    norm = _lp_norm(xi, check_exponent(p))
+    if norm == fzero:
         raise DomainError("cannot normalize the zero function")
-    return xi.scale(1 / norm)
+    return xi._scaled(mpf_rdiv_int(1, norm, mpmath.mp.prec, ROUNDING))

@@ -68,7 +68,8 @@ def random_step_function(
         if abs(v) < 0.1:
             v = 0.5  # keep the function clearly nonzero
         values.append(mpf(repr(v)))
-    return StepFunction(tuple(bps), tuple(values))
+    # increasing distinct Fractions and finite values: valid as built
+    return StepFunction._trusted(tuple(bps), tuple(values))
 
 
 # ---------------------------------------------------------------------------

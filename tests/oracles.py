@@ -1,6 +1,6 @@
 """Oracles that live with the tests: pointwise reads of step functions
-and fixed sets, which the library never needs, and the window estimator's
-loops in their plain mpf form."""
+and fixed sets, which the library never needs, and the Koopman operations
+and the window estimator's loops in their plain mpf form."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -9,8 +9,8 @@ import mpmath
 from mpmath import mpf
 
 from kazhlip import StepFunction
-from kazhlip.koopman import WindowCut
-from kazhlip.plmap import evaluate_sorted
+from kazhlip.koopman import WindowCut, check_exponent, refine
+from kazhlip.plmap import evaluate_sorted, piece_slopes
 from kazhlip.precision import to_real
 
 
@@ -35,6 +35,76 @@ def contains(union, x) -> bool:
     return any(
         (lo is None or lo <= x) and (hi is None or x <= hi) for lo, hi in union.components
     )
+
+
+# The Koopman operations as mpf expressions. The library runs them on raw
+# libmp values, with each piece length and slope one rounded quotient of
+# integers; these are the references it must agree with, bit for bit.
+
+_ZERO = mpf(0)
+
+
+def lp_norm(xi: StepFunction, p) -> mpf:
+    p = check_exponent(p)
+    total = mpf(0)
+    for (a, b), v in zip(zip(xi.breakpoints, xi.breakpoints[1:]), xi.values):
+        if v != 0:
+            total += abs(v) ** p * to_real(b - a)
+    return total ** (1 / p)
+
+
+def koopman_apply(g, xi: StepFunction, p) -> StepFunction:
+    r = 1 / check_exponent(p)
+    bps, vals = xi.breakpoints, xi.values
+    gx, gy = zip(*g.nodes)
+    inv = tuple(zip(gy, gx))
+    n = len(gx)
+    k = bisect_right(gx, bps[0]) if n > 1 else n
+    xs, values = [bps[0]], []
+    last = root = None
+    for v, b in zip(vals, bps[1:]):
+        while True:
+            if v == 0:
+                values.append(_ZERO)
+            else:
+                if k != last:
+                    s = piece_slopes(inv[k - 1 : k + 1])[0] if 0 < k < n else 1
+                    root, last = to_real(s) ** r, k
+                values.append(v * root)
+            if k == n or gx[k] >= b:
+                break
+            xs.append(gx[k])
+            k += 1
+        xs.append(b)
+        if k < n and gx[k] == b:
+            k += 1
+    return StepFunction(tuple(evaluate_sorted(gx, gy, xs)), tuple(values))
+
+
+def subtract(xi: StepFunction, eta: StepFunction) -> StepFunction:
+    pieces = refine(xi, eta)
+    return StepFunction(
+        (pieces[0][0], *[b for _, b, _, _ in pieces]),
+        tuple(u - v for _, _, u, v in pieces),
+    )
+
+
+def mazur_map(xi: StepFunction, q, p) -> StepFunction:
+    q = check_exponent(q)
+    p = check_exponent(p)
+    r = q / p
+    out = []
+    for v in xi.values:
+        if v == 0:
+            out.append(_ZERO)
+        else:
+            out.append(mpmath.sign(v) * abs(v) ** r)
+    return StepFunction(xi.breakpoints, tuple(out))
+
+
+def normalize(xi: StepFunction, p) -> StepFunction:
+    c = 1 / lp_norm(xi, p)
+    return StepFunction(xi.breakpoints, tuple(v * c for v in xi.values))
 
 
 # The window estimator's per-piece loops as mpf expressions. The library

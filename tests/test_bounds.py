@@ -429,4 +429,4 @@ class TestOperationBudget:
             "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "piece_slopes": 8,
             "exp": 1560, "log": 319,
         }
-        assert to_reals <= 1055
+        assert to_reals <= 857

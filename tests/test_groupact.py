@@ -100,6 +100,14 @@ class TestBall:
         with pytest.raises(ResourceLimitError):
             ball(S, 4, cap=10)
 
+    def test_cap_is_the_largest_ball_size(self):
+        # a cap equal to the ball's size holds it; one less does not
+        S = gens(("a", BUMP_A), ("t", T1))
+        size = len(ball(S, 3))
+        assert len(ball(S, 3, cap=size)) == size
+        with pytest.raises(ResourceLimitError):
+            ball(S, 3, cap=size - 1)
+
     def test_negative_radius(self):
         with pytest.raises(DomainError):
             ball(gens(("t", T1)), -1)

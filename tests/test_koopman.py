@@ -24,7 +24,7 @@ from kazhlip import (
 from kazhlip import koopman
 from kazhlip.koopman import WindowMap, refine
 from kazhlip.precision import precision, to_real
-from kazhlip.verify import random_plhomeo, random_step_function
+from kazhlip.verify import random_plhomeo, random_rational, random_step_function
 import oracles
 from oracles import indicator, support, value_at
 
@@ -173,8 +173,11 @@ class TestDistortion:
             assert abs(d - 2 ** (1 / mpf(p))) <= TOL
 
     def test_operation_budget(self, monkeypatch):
-        # one image, one difference (one refinement) and one norm per call
+        # one image, one difference (one refinement) and one norm per call;
+        # p is validated once, and no piece length or slope is taken to a
+        # real through to_real
         calls = collections.Counter()
+        converted = []
 
         def counted(name, f):
             def wrapper(*args):
@@ -183,12 +186,16 @@ class TestDistortion:
 
             return wrapper
 
-        for name in ("koopman_apply", "subtract", "refine", "lp_norm"):
+        names = ("_koopman_apply", "subtract", "refine", "_lp_norm", "check_exponent")
+        for name in names:
             monkeypatch.setattr(koopman, name, counted(name, getattr(koopman, name)))
+        to_real = koopman.to_real
+        monkeypatch.setattr(koopman, "to_real", lambda x: converted.append(x) or to_real(x))
         rng = random.Random(5)
         g, xi = random_plhomeo(rng, max_nodes=20), random_step_function(rng, max_pieces=30)
         koopman_distortion(g, xi, 3)
-        assert calls == {"koopman_apply": 1, "subtract": 1, "refine": 1, "lp_norm": 1}
+        assert calls == dict.fromkeys(names, 1)
+        assert converted == [3]  # p itself, in check_exponent
 
 
 class TestWindowVector:
@@ -266,7 +273,7 @@ def closed_form_distortion(g, n, p):
     (2n d^p / 2n)^{1/p}, as the bound report's cells take it."""
     n = F(n)
     wm = WindowMap.of(g)
-    return (wm.at(p).scaled_power(wm.cut(n)) / to_real(2 * n)) ** (1 / mpf(p))
+    return (wm.at(to_real(p)).scaled_power(wm.cut(n)) / to_real(2 * n)) ** (1 / mpf(p))
 
 
 def oracle_close(g, n, p):
@@ -318,7 +325,7 @@ class TestWindowDistortion:
         wm = WindowMap.of(g)
         assert wm.n0 == 4
         for p in (2, 3, 16, 64):
-            profile = wm.at(p)
+            profile = wm.at(to_real(p))
             values = {profile.scaled_power(wm.cut(wm.n0 * k)) for k in (1, F(3, 2), 2, 1000)}
             assert values == {profile.constant}
             oracle = 2 * wm.n0 * koopman_distortion(g, window_vector(wm.n0, p), p) ** p
@@ -351,7 +358,7 @@ class TestWindowDistortion:
                     cuts = [wm.cut(wm.n0 * k) for k in (F(1, 5), F(1, 2), F(9, 10), 1)]
                     for p in (1, 2, mpf("2.5"), 3, 16, 64):
                         pr = to_real(p)
-                        got, want = wm.at(p), oracles.window_profile(wm, p)
+                        got, want = wm.at(pr), oracles.window_profile(wm, p)
                         pow_weights = tuple(
                             abs(to_real(s) ** (1 / pr) - 1) ** pr for s in wm.inv_slopes
                         )
@@ -505,3 +512,70 @@ class TestTrustedResults:
     def test_scale_rejects_non_finite(self, c):
         with pytest.raises(DomainError):
             indicator(0, 1).scale(c)
+
+
+def bits(x):
+    """A step function's breakpoints and raw values, or a real's raw value."""
+    if isinstance(x, StepFunction):
+        return x.breakpoints, [v._mpf_ for v in x.values]
+    return x._mpf_
+
+
+def bit_cases(rng):
+    """(g, xi, eta): maps, among them a pure translation (one node), and
+    step functions with zero-valued pieces whose support reaches past g's
+    first and last node. Built at the working precision, so the values
+    carry all of its bits."""
+    maps = [PLHomeo.translation(F(-5, 3)), BUMP]
+    # g^{-1} has slope 111/10, 82/47 or 187/35 on one piece: for these,
+    # sqrt(s) and exp(log(s) / 2) round apart at 30 or 50 digits
+    maps += [PLHomeo.from_pairs([(0, 0), (a, b), (400, 400)]) for a, b in
+             ((111, 10), (82, 47), (187, 35))]
+    maps += [random_plhomeo(rng, max_nodes=8, max_mag=40) for _ in range(20)]
+    cases = []
+    for g in maps:
+        xs = [x for x, _ in g.nodes]
+        fns = []
+        for _ in range(2):
+            inner = {random_rational(rng, 40) for _ in range(rng.randint(0, 8))}
+            bps = sorted({xs[0] - 1, xs[-1] + F(1, 3)} | inner)
+            # the first piece is nonzero, so that normalize applies
+            values = [
+                mpf(0) if i and rng.random() < 0.25 else mpf(repr(rng.uniform(-5, 5))) / 3
+                for i in range(len(bps) - 1)
+            ]
+            fns.append(StepFunction(tuple(bps), tuple(values)))
+        cases.append((g, *fns))
+    return cases
+
+
+class TestBitIdentity:
+    """The Koopman operations run on raw libmp values; they must give the
+    bits of the mpf expressions in the oracles."""
+
+    PS = (1, 2, 3, 4, 16, mpf("2.5"), mpf("1.7"))
+
+    @pytest.mark.parametrize("digits", [15, 30, 50])
+    def test_matches_mpf_oracles(self, digits):
+        rng = random.Random(digits)
+        with precision(digits):
+            for g, xi, eta in bit_cases(rng):
+                for p in self.PS:
+                    q = rng.choice(self.PS)
+                    case = (digits, g.nodes, xi.breakpoints, p, q)
+                    image = oracles.koopman_apply(g, xi, p)
+                    assert bits(koopman_apply(g, xi, p)) == bits(image), case
+                    assert bits(lp_norm(xi, p)) == bits(oracles.lp_norm(xi, p)), case
+                    assert bits(subtract(xi, eta)) == bits(oracles.subtract(xi, eta)), case
+                    want = oracles.mazur_map(xi, q, p)
+                    assert bits(mazur_map(xi, q, p)) == bits(want), case
+                    assert bits(normalize(eta, p)) == bits(oracles.normalize(eta, p)), case
+                    want = oracles.lp_norm(oracles.subtract(image, xi), p)
+                    assert bits(koopman_distortion(g, xi, p)) == bits(want), case
+
+    def test_cases_reach_past_the_nodes(self):
+        cases = bit_cases(random.Random(0))
+        assert len(cases[0][0].nodes) == 1  # a pure translation
+        for g, xi, _ in cases:
+            assert xi.breakpoints[0] < g.nodes[0][0] and g.nodes[-1][0] < xi.breakpoints[-1]
+        assert any(v == 0 for _, xi, eta in cases for v in xi.values + eta.values)
