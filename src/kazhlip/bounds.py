@@ -181,7 +181,6 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
     one at any other p, which needs p > log L and p >= 2. `cuts` holds each
     schedule entry n with n and 2n as reals and its window's cuts."""
     p, Lr = to_real(p), to_real(L)
-    inv_p = 1 / p
     if p == 2:
         root_L = mpmath.sqrt(Lr)
 
@@ -201,6 +200,7 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
     # `at` trusts p: this one check rejects the nan and inf that the
     # checks above let through
     p = koopman.check_exponent(p)
+    inv_p = 1 / p
     profiles = [w.at(p) for w in windows]
     cells = []
     for n, nr, two_n, row in cuts:

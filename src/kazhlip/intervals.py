@@ -54,25 +54,35 @@ class IntervalUnion:
         return not self.components
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        """One merge of the two sorted component lists. Each piece of the
+        result lies in one component of each union, and two consecutive
+        pieces differ in at least one, so a gap of that union separates
+        them: the pieces are already sorted, disjoint and non-adjacent."""
+        a, b = self.components, other.components
         out = []
-        for alo, ahi in self.components:
-            for blo, bhi in other.components:
-                if alo is None:
-                    lo = blo
-                elif blo is None:
-                    lo = alo
-                else:
-                    lo = max(alo, blo)
-                if ahi is None:
-                    hi = bhi
-                elif bhi is None:
-                    hi = ahi
-                else:
-                    hi = min(ahi, bhi)
-                nonempty = lo is None or hi is None or lo <= hi
-                if nonempty:
-                    out.append((lo, hi))
-        return IntervalUnion.from_intervals(out)
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            if alo is None:
+                lo = blo
+            elif blo is None:
+                lo = alo
+            else:
+                lo = max(alo, blo)
+            if ahi is None:
+                hi = bhi
+            elif bhi is None:
+                hi = ahi
+            else:
+                hi = min(ahi, bhi)
+            if lo is None or hi is None or lo <= hi:
+                out.append((lo, hi))
+            # the component that ends first meets nothing further on
+            if ahi is None or (bhi is not None and bhi < ahi):
+                j += 1
+            else:
+                i += 1
+        return IntervalUnion(tuple(out))
 
     def __str__(self) -> str:
         return self.format()

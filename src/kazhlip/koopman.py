@@ -103,18 +103,28 @@ _ZERO = mpf(0)
 def refine(xi: StepFunction, eta: StepFunction):
     """Common refinement over the union of supports: the pieces (a, b, u, v)
     on which xi = u and eta = v, from one merge of the two breakpoint
-    lists."""
+    lists, ordered by integer cross-products."""
     xb, xv = xi.breakpoints, xi.values
     eb, ev = eta.breakpoints, eta.values
     nx, ne = len(xb), len(eb)
+    xq = [b.as_integer_ratio() for b in xb]
+    eq = [b.as_integer_ratio() for b in eb]
     pieces = []
     i = j = 0  # the breakpoints of xi and of eta at or left of the point a
     a = u = v = None
     while i < nx or j < ne:
-        if j == ne or (i < nx and xb[i] < eb[j]):
+        # the sign of xb[i] - eb[j]; a list that is used up reads as +infinity
+        if j == ne:
+            s = -1
+        elif i == nx:
+            s = 1
+        else:
+            (xn, xd), (en, ed) = xq[i], eq[j]
+            s = xn * ed - en * xd
+        if s < 0:
             b = xb[i]
             i += 1
-        elif i == nx or eb[j] < xb[i]:
+        elif s > 0:
             b = eb[j]
             j += 1
         else:  # a shared breakpoint
@@ -188,14 +198,18 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
     # the slope of g^{-1} on [y_j, y_{j+1}], an unreduced pair of ints
     inv_slopes = _slope_pairs(tuple(zip(gy, gx)))
     n = len(gx)
+    gq = [x.as_integer_ratio() for x in gx]
     # k counts g's nodes at or left of the current point; a pure
-    # translation has no slope changes, so its node is never merged
-    k = bisect_right(gx, bps[0]) if n > 1 else n
+    # translation has no slope changes, so its node is never merged.
+    # A node gx[k] = gq[k] is ordered against a breakpoint b = bn/bd by the
+    # sign of gx[k] - b, the integer gq[k][0] bd - bn gq[k][1].
+    bn, bd = bps[0].as_integer_ratio()
+    k = bisect_right(gq, False, key=lambda c: c[0] * bd > bn * c[1]) if n > 1 else n
     xs, values = [bps[0]], []
     last = root = None
     for v, b in zip(vals, bps[1:]):
         # xi is v on [xs[-1], b); each node of g inside ends one piece
-        v = v._mpf_
+        v, (bn, bd) = v._mpf_, b.as_integer_ratio()
         while True:
             if v == fzero:
                 values.append(_ZERO)
@@ -204,12 +218,13 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
                     s = from_rational(*inv_slopes[k - 1], prec, ROUNDING) if 0 < k < n else fone
                     root, last = mpf_pow(s, r, prec, ROUNDING), k
                 values.append(make(mpf_mul(v, root, prec, ROUNDING)))
-            if k == n or gx[k] >= b:
+            order = gq[k][0] * bd - bn * gq[k][1] if k < n else 1
+            if order >= 0:
                 break
             xs.append(gx[k])
             k += 1
         xs.append(b)
-        if k < n and gx[k] == b:
+        if order == 0:
             k += 1
     return StepFunction._trusted(tuple(evaluate_sorted(gx, gy, xs)), tuple(values))
 

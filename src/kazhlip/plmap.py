@@ -97,9 +97,9 @@ def _slope_pairs(nodes: Sequence[Node]) -> list:
     pair of ints (num, den), den > 0. Coordinates are ints or Fractions."""
     pairs = []
     x0, y0 = nodes[0]
-    a, b, c, d = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+    (a, b), (c, d) = x0.as_integer_ratio(), y0.as_integer_ratio()
     for x1, y1 in nodes[1:]:
-        e, f, g, h = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+        (e, f), (g, h) = x1.as_integer_ratio(), y1.as_integer_ratio()
         # (g/h - c/d) / (e/f - a/b) = (g d - c h) b f / ((e b - a f) d h)
         pairs.append(((g * d - c * h) * b * f, (e * b - a * f) * d * h))
         a, b, c, d = e, f, g, h
@@ -111,7 +111,9 @@ def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
     return tuple(Fraction(num, den) for num, den in _slope_pairs(nodes))
 
 
-def _check_nodes(nodes: Sequence[Node]) -> None:
+def _checked_slopes(nodes: Sequence[Node]) -> list:
+    """The slope pairs of a caller's node list, which this validates: the
+    coordinates are ints or Fractions, and both increase strictly."""
     if not nodes:
         raise DomainError("a PL map needs at least one node")
     # the kernel reads the numerator and denominator of every coordinate
@@ -121,23 +123,28 @@ def _check_nodes(nodes: Sequence[Node]) -> None:
                 raise DomainError(
                     f"nodes[{i}][{j}]: expected an int or a Fraction, got {type(c).__name__}"
                 )
+    # Each pair is (rise b f, run d h) with b, d, f, h > 0, so a coordinate
+    # increases exactly when its factor is positive.
     # format_rational: a coordinate may have more digits than str() prints
-    for i, ((x0, y0), (x1, y1)) in enumerate(zip(nodes, nodes[1:]), 1):
-        if x1 <= x0:
-            x = format_rational(x1, f"nodes[{i}][0]")
+    pairs = _slope_pairs(nodes)
+    for i, (num, den) in enumerate(pairs, 1):
+        if den <= 0:
+            x = format_rational(nodes[i][0], f"nodes[{i}][0]")
             raise DomainError(f"x-coordinates not strictly increasing at x={x}")
-        if y1 <= y0:
-            y = format_rational(y1, f"nodes[{i}][1]")
+        if num <= 0:
+            y = format_rational(nodes[i][1], f"nodes[{i}][1]")
             raise DomainError(f"y-coordinates not strictly increasing at y={y}")
+    return pairs
 
 
-def _drop_collinear(nodes: Sequence[Node]) -> Tuple[Node, ...]:
-    """The canonical form of a strictly increasing node list."""
+def _drop_collinear(nodes: Sequence[Node], pairs: list) -> Tuple[Node, ...]:
+    """The canonical form of a strictly increasing node list, whose slope
+    pairs are `pairs`."""
     # Node i sits between slopes[i] and slopes[i + 1]; the tails have slope
     # 1. Removing a collinear node never changes its neighbours' slopes, so
     # a single pass suffices. Both denominators are positive, so the slopes
     # differ exactly when their cross-products do.
-    slopes = [(1, 1), *_slope_pairs(nodes), (1, 1)]
+    slopes = [(1, 1), *pairs, (1, 1)]
     kept = tuple(
         node
         for node, (n0, d0), (n1, d1) in zip(nodes, slopes, slopes[1:])
@@ -151,21 +158,33 @@ def _drop_collinear(nodes: Sequence[Node]) -> Tuple[Node, ...]:
     return ((Fraction(0), c),)
 
 
+# Order decisions compare rationals a/b and c/d, b, d > 0, by the sign of
+# the integer c b - a d, never as Fractions; a list that is used up reads as
+# 1/0, +infinity. A node's numerator and denominator are read when the walk
+# reaches it.
+
+
 def _merge_nodes(xs, ys, us, vs):
     """The nodes (xs[i], ys[i]) and (us[j], vs[j]), both increasing in x,
     as one increasing node list; on equal x the first list's node is kept."""
     out = []
+    m, n = len(xs), len(us)
     i = j = 0
-    while i < len(xs) and j < len(us):
-        x, u = xs[i], us[j]
-        if u < x:
-            out.append((u, vs[j]))
+    a, b = xs[0].as_integer_ratio() if m else (1, 0)
+    c, d = us[0].as_integer_ratio() if n else (1, 0)
+    while i < m and j < n:
+        s = c * b - a * d  # the sign of us[j] - xs[i]
+        if s < 0:
+            out.append((us[j], vs[j]))
             j += 1
+            c, d = us[j].as_integer_ratio() if j < n else (1, 0)
         else:
-            out.append((x, ys[i]))
+            out.append((xs[i], ys[i]))
             i += 1
-            if x == u:
+            a, b = xs[i].as_integer_ratio() if i < m else (1, 0)
+            if s == 0:
                 j += 1
+                c, d = us[j].as_integer_ratio() if j < n else (1, 0)
     out.extend(zip(xs[i:], ys[i:]))
     out.extend(zip(us[j:], vs[j:]))
     return out
@@ -173,37 +192,53 @@ def _merge_nodes(xs, ys, us, vs):
 
 def evaluate_sorted(xs: Sequence, ys: Sequence, points: Iterable) -> list:
     """The PL map through the increasing nodes (xs[i], ys[i]), with slope-1
-    tails, at each of the increasing rational points, in one walk over the
+    tails, at each of the increasing rational points, in one pass over the
     nodes. The values are Fractions, also for int nodes and int points.
     With xs and ys swapped it is the inverse map.
 
-    Each value is built from the numerators and denominators of the point
-    and its nodes and normalised once."""
+    Each point is located by integer cross-products: the pass steps to the
+    next node, and bisects past any further ones, so a few points on k
+    nodes cost O(log k). Each value is built from the numerators and
+    denominators of the point and its nodes and normalised once."""
     out = []
     last = len(xs) - 1
-    i = 0
+    # xs[i - 1] = a/b <= x < xs[i] = e/f
+    i, a, b = 0, None, None
+    e, f = xs[0].as_integer_ratio()
+    seg = line = None
     for x in points:
-        i = bisect_right(xs, x, i)  # xs[i - 1] <= x < xs[i]
-        if i and x == xs[i - 1]:
+        p, q = x.as_integer_ratio()
+        if e * q <= p * f:  # x is at or past xs[i]: step to it
+            i += 1
+            a, b = e, f
+            e, f = xs[i].as_integer_ratio() if i <= last else (1, 0)
+            if e * q <= p * f:  # and past xs[i] too: bisect the rest
+                i = bisect_right(
+                    xs, False, i + 1, key=lambda c: c.numerator * q > p * c.denominator
+                )
+                a, b = xs[i - 1].as_integer_ratio()
+                e, f = xs[i].as_integer_ratio() if i <= last else (1, 0)
+        if i and a * q == p * b:
             y = ys[i - 1]
             out.append(y if type(y) is Fraction else Fraction(y))
             continue
-        p, q = x.numerator, x.denominator
-        if i == 0 or i > last:
-            # a tail: x + (y_j - x_j) at the end node j
-            j = 0 if i == 0 else last
-            a, b, c, d = xs[j].numerator, xs[j].denominator, ys[j].numerator, ys[j].denominator
-            out.append(Fraction(p * b * d + (c * b - a * d) * q, q * b * d))
-        else:
-            # y0 + (x - x0)(y1 - y0)/(x1 - x0) with x0 = a/b, y0 = c/d,
-            # x1 = e/f, y1 = g/h and x = p/q
-            x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
-            a, b, c, d = x0.numerator, x0.denominator, y0.numerator, y0.denominator
-            e, f, g, h = x1.numerator, x1.denominator, y1.numerator, y1.denominator
-            run = e * b - a * f
-            out.append(Fraction(
-                c * h * q * run + f * (p * b - a * q) * (g * d - c * h), d * h * q * run
-            ))
+        if i != seg:
+            # piece i's line through the node at x = u/v:
+            # y = (s q + t (p v - u q)) / (w q)
+            seg = i
+            if 0 < i <= last:
+                # y0 + (x - x0)(y1 - y0)/(x1 - x0) with x0 = a/b, y0 = c/d,
+                # x1 = e/f, y1 = g/h and x = p/q
+                (c, d), (g, h) = ys[i - 1].as_integer_ratio(), ys[i].as_integer_ratio()
+                run = e * b - a * f
+                line = (a, b, c * h * run, f * (g * d - c * h), d * h * run)
+            else:
+                # a tail: x + (y_j - x_j) at the end node j, x_j = u/v, y_j = c/d
+                u, v, y = (e, f, ys[0]) if i == 0 else (a, b, ys[last])
+                c, d = y.as_integer_ratio()
+                line = (u, v, c * v, d, v * d)
+        u, v, s, t, w = line
+        out.append(Fraction(s * q + t * (p * v - u * q), w * q))
     return out
 
 
@@ -215,8 +250,7 @@ class PLHomeo:
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
-        _check_nodes(nodes)
-        object.__setattr__(self, "nodes", _drop_collinear(nodes))
+        object.__setattr__(self, "nodes", _drop_collinear(nodes, _checked_slopes(nodes)))
 
     # -- constructors -------------------------------------------------
 
@@ -245,7 +279,8 @@ class PLHomeo:
 
     @property
     def is_identity(self) -> bool:
-        return self.nodes == ((Fraction(0), Fraction(0)),)
+        # the canonical form of a translation by c is the one node (0, c)
+        return len(self.nodes) == 1 and self.nodes[0][1].numerator == 0
 
     def evaluate(self, x) -> Fraction:
         xs, ys = zip(*self.nodes)
@@ -294,7 +329,7 @@ class PLHomeo:
         # lists increase, so one merge orders them; f o g increases, so the
         # merged nodes need no validation.
         nodes = _merge_nodes(gx, evaluate_sorted(fx, fy, gy), evaluate_sorted(gy, gx, fx), fy)
-        return PLHomeo._canonical(_drop_collinear(nodes))
+        return PLHomeo._canonical(_drop_collinear(nodes, _slope_pairs(nodes)))
 
     def conjugate_by_homothety(self, alpha) -> "PLHomeo":
         """phi_alpha^{-1} o f o phi_alpha with phi_alpha(x) = alpha*x.
@@ -326,24 +361,31 @@ class PLHomeo:
 
     def displacement(self) -> Fraction:
         """sup |f(x) - x|; attained at a node or on a tail."""
-        return max(abs(y - x) for x, y in self.nodes)
+        # each |y - x| as an unreduced pair; only the largest is normalised
+        top = (0, 1)
+        for x, y in self.nodes:
+            (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+            num, den = abs(c * b - a * d), b * d
+            if num * top[1] > top[0] * den:
+                top = (num, den)
+        return Fraction(*top)
 
     def fixed_set(self) -> IntervalUnion:
         """Exact solution set of f(x) = x as a union of closed intervals."""
         if self.is_identity:
             return IntervalUnion.whole_line()
-        parts = []
-        nodes = self.nodes
-        # a tail whose offset is 0 is fixed pointwise
-        if nodes[0][0] == nodes[0][1]:
-            parts.append((None, nodes[0][0]))
-        if nodes[-1][0] == nodes[-1][1]:
-            parts.append((nodes[-1][0], None))
         # each node's x = a/b and offset y - x = u/v, as unreduced ints
         offsets = []
-        for x, y in nodes:
+        for x, y in self.nodes:
             a, b = x.numerator, x.denominator
             offsets.append((x, a, b, y.numerator * b - a * y.denominator, b * y.denominator))
+        parts = []
+        # a tail whose offset is 0 is fixed pointwise
+        (x0, _, _, u, _), (xk, _, _, s, _) = offsets[0], offsets[-1]
+        if u == 0:
+            parts.append((None, x0))
+        if s == 0:
+            parts.append((xk, None))
         for (x0, a, b, u, v), (x1, e, f, s, t) in zip(offsets, offsets[1:]):
             if u == 0 and s == 0:
                 parts.append((x0, x1))

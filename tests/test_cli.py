@@ -262,6 +262,12 @@ class TestGroupCommands:
         code, out, _ = run(capsys, "fixed-points", bump_pair_file)
         assert code == 0 and "verdict: nonempty" in out
 
+    @pytest.mark.parametrize("schedule", [(), ("--schedule", "")])
+    def test_bound_p_zero_exit_1(self, capsys, translations_file, schedule):
+        # p = 0 is refused by the checks on p, before 1/p is taken
+        code, out, err = run(capsys, "bound", translations_file, "--p", "0", *schedule)
+        assert code == 1 and "p=0" in err and out == ""
+
     def test_bound_translations_csv(self, capsys, translations_file):
         code, out, _ = run(
             capsys, "bound", translations_file, "--p", "2",

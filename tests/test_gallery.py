@@ -32,25 +32,37 @@ def inverse(text: str) -> str:
     )
 
 
+# The Fraction methods behind every comparison (<, <=, >, >=), equality
+# test and hash; a Fraction rich comparison goes through _richcmp.
+FRACTION_ORDER = ("_richcmp", "__eq__", "__hash__")
+
+
+def counted(calls, name, f):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture(scope="module")
 def f_ball():
-    """ball(F, 8), and the compose calls and Fraction constructions it took."""
+    """ball(F, 8), and the compose calls, Fraction constructions and
+    Fraction comparisons, equality tests and hashes it took."""
     calls = Counter()
-    compose, new = PLHomeo.compose, F.__new__
-
-    def counting(f, g):
-        calls["compose"] += 1
-        return compose(f, g)
-
-    def constructing(cls, *args, **kwargs):
-        calls["Fraction"] += 1
-        return new(cls, *args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PLHomeo, "compose", counting)
-        mp.setattr(F, "__new__", constructing)
+        mp.setattr(PLHomeo, "compose", counted(calls, "compose", PLHomeo.compose))
+        mp.setattr(F, "__new__", counted(calls, "Fraction", F.__new__))
+        for name in FRACTION_ORDER:
+            mp.setattr(F, name, counted(calls, name, getattr(F, name)))
         elems = ball(THOMPSON_F, 8)
     return elems, calls
+
+
+CPYTHON_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="fractions builds its results differently in other versions",
+)
 
 
 class TestThompsonF:
@@ -89,15 +101,19 @@ class TestThompsonF:
         elems, calls = f_ball
         assert calls["compose"] == 4 + 3 * (sum(F_SPHERES[:8]) - 1) == 11872
 
-    @pytest.mark.skipif(
-        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-        reason="fractions builds its results differently in other versions",
-    )
+    @CPYTHON_311
     def test_ball_fraction_budget(self, f_ball):
         # the exact kernel builds each value, slope and root as one
         # normalised Fraction, with no intermediate
         _, calls = f_ball
         assert calls["Fraction"] == 51799
+
+    @CPYTHON_311
+    def test_ball_orders_on_integers(self, f_ball):
+        # evaluation, the node merge and the dedup index compare and hash
+        # integer cross-products and int tuples, never a Fraction
+        _, calls = f_ball
+        assert {name: calls[name] for name in FRACTION_ORDER} == dict.fromkeys(FRACTION_ORDER, 0)
 
 
 class TestCommutingBumps:

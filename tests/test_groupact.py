@@ -108,6 +108,15 @@ class TestBall:
         with pytest.raises(ResourceLimitError):
             ball(S, 3, cap=size - 1)
 
+    def test_int_and_fraction_nodes_are_one_element(self):
+        # the same bump with int nodes and with Fraction nodes: the dedup
+        # key compares values, as the node tuples do
+        ints = PLHomeo(((0, 0), (2, 3), (4, 4)))
+        fracs = PLHomeo.from_pairs([(0, 0), (2, 3), (4, 4)])
+        assert ints.nodes == fracs.nodes and type(ints.nodes[1][0]) is int
+        elems = ball(gens(("a", ints), ("b", fracs)), 2)
+        assert [str(w) for _, w in elems] == ["e", "a", "a^-1", "a a", "a^-1 a^-1"]
+
     def test_negative_radius(self):
         with pytest.raises(DomainError):
             ball(gens(("t", T1)), -1)

@@ -197,6 +197,27 @@ class TestDistortion:
         assert calls == dict.fromkeys(names, 1)
         assert converted == [3]  # p itself, in check_exponent
 
+    def test_orders_on_integers(self, monkeypatch):
+        # the image's node walk and evaluation, and the refinement's merge,
+        # order breakpoints by integer cross-products, never as Fractions
+        rng = random.Random(5)
+        g, xi = random_plhomeo(rng, max_nodes=20), random_step_function(rng, max_pieces=30)
+        a, b = support(xi)
+        assert sum(a < x < b for x, _ in g.nodes) > 1  # g's nodes are merged
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        for name in ("_richcmp", "__eq__", "__hash__"):
+            monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+        assert koopman_distortion(g, xi, 3) > 0
+        assert calls == {}
+
 
 class TestWindowVector:
     def test_p2_value(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from kazhlip import DomainError, IntervalUnion, PLHomeo, SchemaError, parse_rational
-from kazhlip.plmap import evaluate_sorted, piece_slopes
+from kazhlip.plmap import _merge_nodes, evaluate_sorted, format_rational, piece_slopes
 from kazhlip.verify import random_plhomeo
 from oracles import contains
 
@@ -224,6 +224,69 @@ class TestEvaluateSorted:
         assert values == [interp_oracle(list(zip(xs, ys)), x) for x in points]
 
 
+# ints and Fractions, narrow and of up to 200 bits, in one list
+mixed_coords = st.one_of(st.integers(-50, 50), rationals, wide_ints, wide_rationals)
+
+
+@st.composite
+def mixed_nodes(draw, max_nodes=6):
+    """Increasing nodes (xs, ys) whose coordinates mix ints and Fractions;
+    a single node is a translation."""
+    xs = sorted(draw(st.lists(mixed_coords, min_size=1, max_size=max_nodes, unique=True)))
+    ys = sorted(draw(st.lists(mixed_coords, min_size=len(xs), max_size=len(xs), unique=True)))
+    return xs, ys
+
+
+class TestOrderOnIntegers:
+    """The walks that locate points among nodes, and merge two node lists,
+    by integer cross-products, against plain Fraction comparisons."""
+
+    @given(st.data())
+    def test_evaluate_mixed_nodes(self, data):
+        xs, ys = data.draw(mixed_nodes())
+        # node coordinates as they are (ints stay ints), midpoints, both
+        # tails, anywhere
+        points = data.draw(sorted_points(xs, mixed_coords))
+        values = evaluate_sorted(xs, ys, points)
+        assert all(type(v) is F for v in values)
+        assert values == [interp_oracle(list(zip(xs, ys)), x) for x in points]
+
+    @given(mixed_coords, mixed_coords, st.lists(mixed_coords, min_size=1, max_size=6))
+    def test_evaluate_translation(self, x0, y0, points):
+        # one node: slope-1 tails on both sides, and the node itself
+        points = sorted(points + [x0])
+        assert evaluate_sorted([x0], [y0], points) == [F(x) + F(y0) - F(x0) for x in points]
+
+    @given(st.data())
+    def test_evaluate_points_outside_the_nodes(self, data):
+        xs, ys = data.draw(mixed_nodes())
+        left = data.draw(st.lists(wide_positives, max_size=3))
+        right = data.draw(st.lists(wide_positives, max_size=3))
+        points = sorted([xs[0] - d for d in left]) + sorted([xs[-1] + d for d in right])
+        want = [x + F(ys[0] - xs[0]) for x in points[: len(left)]]
+        want += [x + F(ys[-1] - xs[-1]) for x in points[len(left):]]
+        assert evaluate_sorted(xs, ys, points) == want
+
+    @given(st.data())
+    def test_merge_matches_a_sort(self, data):
+        pool = data.draw(st.lists(mixed_coords, min_size=1, max_size=10, unique=True))
+        xs = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)))
+        us = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)))
+        # an x shared with the first list may come as an int in one list
+        # and as a Fraction in the other
+        us = [data.draw(st.sampled_from([u, F(u)])) for u in us]
+        ys = [("first", i) for i in range(len(xs))]
+        vs = [("second", j) for j in range(len(us))]
+        # on equal x the first list's node, with its own x, is kept
+        want = dict(zip(xs, ys))
+        for u, v in zip(us, vs):
+            want.setdefault(u, v)
+        got = _merge_nodes(xs, ys, us, vs)
+        assert [(type(x), x, y) for x, y in got] == [
+            (type(x), x, y) for x, y in sorted(want.items(), key=lambda node: node[0])
+        ]
+
+
 class TestParseRational:
     def test_json_floats_read_as_written(self):
         assert parse_rational(0.5) == F(1, 2)
@@ -273,6 +336,25 @@ class TestCanonicalForm:
     def test_rejects_non_rational_coordinates(self, nodes, field):
         with pytest.raises(DomainError, match=re.escape(field)):
             PLHomeo(nodes)
+
+    @given(st.lists(st.tuples(mixed_coords, mixed_coords), min_size=1, max_size=6))
+    def test_validation_message_matches_the_fraction_oracle(self, nodes):
+        # the first bad node in order, its x before its y, named as the
+        # Fraction comparisons x1 <= x0 and y1 <= y0 name it
+        want = None
+        for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
+            if x1 <= x0:
+                want = f"x-coordinates not strictly increasing at x={format_rational(F(x1))}"
+            elif y1 <= y0:
+                want = f"y-coordinates not strictly increasing at y={format_rational(F(y1))}"
+            if want:
+                break
+        if want is None:
+            assert PLHomeo(tuple(nodes)).nodes == canonical_oracle(nodes)
+        else:
+            with pytest.raises(DomainError) as exc:
+                PLHomeo(tuple(nodes))
+            assert str(exc.value) == want
 
     @given(st.one_of(wide_plhomeos, int_plhomeos(ints=wide_ints)))
     def test_wide_rationals_match_the_oracle(self, f):
@@ -414,6 +496,11 @@ class TestDisplacement:
         samples = [F(k, 16) for k in range(-40, 80)]
         assert all(abs(SMALL_BUMP.evaluate(x) - x) <= d for x in samples)
         assert any(abs(SMALL_BUMP.evaluate(x) - x) == d for x in samples)
+
+    @given(st.one_of(any_wide_plhomeos, int_plhomeos()))
+    def test_matches_the_fraction_oracle(self, f):
+        d = f.displacement()
+        assert type(d) is F and d == max(abs(F(y - x)) for x, y in f.nodes)
 
     @given(plhomeos(), plhomeos())
     @settings(max_examples=60)
