@@ -20,12 +20,11 @@ _EXPORTS = {
     "figures": "",
     "groupact": "GeneratorSet Word ball global_fixed_set word_evaluate",
     "intervals": "IntervalUnion",
-    "koopman": "StepFunction inner_product koopman_apply koopman_distortion lp_norm "
-    "mazur_map normalize subtract window_vector",
-    "limits": "ActionSequence LimitDiagnostic limit_translation_diagnostic lip_trend "
-    "normalize_stage",
+    "koopman": "StepFunction koopman_apply koopman_distortion lp_norm mazur_map normalize "
+    "subtract window_vector",
+    "limits": "ActionSequence LimitDiagnostic limit_translation_diagnostic normalize_stage",
     "plmap": "PLHomeo format_rational parse_rational",
-    "precision": "get_precision precision set_precision",
+    "precision": "precision set_precision",
     "verify": "",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

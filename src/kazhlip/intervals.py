@@ -2,7 +2,9 @@
 
 Used to represent fixed-point sets exactly. Endpoints are Fractions;
 ``None`` stands for -infinity on the left and +infinity on the right.
-A degenerate interval (a, a) is a single point.
+A degenerate interval (a, a) is a single point. The constructor takes the
+components as they are given: `PLHomeo.fixed_set` and `intersect` build
+them canonical.
 """
 
 from __future__ import annotations
@@ -21,33 +23,6 @@ class IntervalUnion:
     @staticmethod
     def whole_line() -> "IntervalUnion":
         return IntervalUnion(((None, None),))
-
-    @staticmethod
-    def from_intervals(parts) -> "IntervalUnion":
-        """Normalize an arbitrary list of closed intervals: sort and merge
-        overlapping or touching components."""
-        parts = [(lo, hi) for lo, hi in parts]
-        for lo, hi in parts:
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"interval [{lo}, {hi}] is empty")
-
-        def key(part):
-            lo, _ = part
-            return (0, Fraction(0)) if lo is None else (1, lo)
-
-        parts.sort(key=key)
-        merged: list = []
-        for lo, hi in parts:
-            if merged:
-                plo, phi = merged[-1]
-                # closed intervals touch when endpoints meet
-                touches = phi is None or lo is None or lo <= phi
-                if touches:
-                    new_hi = None if (phi is None or hi is None) else max(phi, hi)
-                    merged[-1] = (plo, new_hi)
-                    continue
-            merged.append((lo, hi))
-        return IntervalUnion(tuple(merged))
 
     @property
     def is_empty(self) -> bool:

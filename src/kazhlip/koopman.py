@@ -32,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError
-from .plmap import PLHomeo, _slope_pairs, evaluate_sorted, piece_slopes
+from .plmap import PLHomeo, _slope_pairs, evaluate_sorted
 from .precision import ROUNDING, to_real
 
 
@@ -80,21 +80,6 @@ class StepFunction:
         object.__setattr__(f, "breakpoints", breakpoints)
         object.__setattr__(f, "values", values)
         return f
-
-    def scale(self, c) -> "StepFunction":
-        c = to_real(c)
-        if not mpmath.isfinite(c):
-            raise DomainError(f"scale factor must be finite, got {c}")
-        return self._scaled(c._mpf_)
-
-    def _scaled(self, c: tuple) -> "StepFunction":
-        """scale by c, a raw libmp value that is finite."""
-        # mpf arithmetic never overflows, so every product is finite
-        prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
-        return StepFunction._trusted(
-            self.breakpoints,
-            tuple(make(mpf_mul(v._mpf_, c, prec, ROUNDING)) for v in self.values),
-        )
 
 
 _ZERO = mpf(0)
@@ -172,15 +157,6 @@ def _lp_norm(xi: StepFunction, p: mpf) -> tuple:
     return mpf_pow(total, mpf_rdiv_int(1, q, prec, ROUNDING), prec, ROUNDING)
 
 
-def inner_product(xi: StepFunction, eta: StepFunction) -> mpf:
-    """Exact piecewise integral of the product over the common refinement."""
-    total = mpf(0)
-    for a, b, u, v in refine(xi, eta):
-        if u != 0 and v != 0:
-            total += u * v * to_real(b - a)
-    return total
-
-
 def koopman_apply(g: PLHomeo, xi: StepFunction, p) -> StepFunction:
     """pi(g) xi with exact image breakpoints. Merged with g's nodes, each
     piece [a, b) of xi lies in one piece of g and maps to [g(a), g(b)),
@@ -195,8 +171,9 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
     r = mpf_rdiv_int(1, p._mpf_, prec, ROUNDING)
     bps, vals = xi.breakpoints, xi.values
     gx, gy = zip(*g.nodes)
-    # the slope of g^{-1} on [y_j, y_{j+1}], an unreduced pair of ints
-    inv_slopes = _slope_pairs(tuple(zip(gy, gx)))
+    # g has the slope num/den on [x_j, x_{j+1}], an unreduced pair of ints,
+    # so g^{-1} has the slope den/num on [y_j, y_{j+1}]
+    slopes = _slope_pairs(g.nodes)
     n = len(gx)
     gq = [x.as_integer_ratio() for x in gx]
     # k counts g's nodes at or left of the current point; a pure
@@ -215,7 +192,8 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
                 values.append(_ZERO)
             else:
                 if k != last:  # one root per piece of g
-                    s = from_rational(*inv_slopes[k - 1], prec, ROUNDING) if 0 < k < n else fone
+                    num, den = slopes[k - 1] if 0 < k < n else (1, 1)
+                    s = from_rational(den, num, prec, ROUNDING)
                     root, last = mpf_pow(s, r, prec, ROUNDING), k
                 values.append(make(mpf_mul(v, root, prec, ROUNDING)))
             order = gq[k][0] * bd - bn * gq[k][1] if k < n else 1
@@ -277,7 +255,6 @@ class WindowMap(NamedTuple):
 
     xs: Tuple[Fraction, ...]
     ys: Tuple[Fraction, ...]
-    inv_slopes: Tuple[Fraction, ...]  # s_j, the slope of g^{-1} on [y_j, y_{j+1}]
     slopes: Tuple[mpf, ...]           # s_j rounded to the working precision
     log_slopes: Tuple[mpf, ...]       # log s_j, with 10 guard bits
     lengths: Tuple[mpf, ...]          # y_{j+1} - y_j
@@ -287,8 +264,12 @@ class WindowMap(NamedTuple):
     @staticmethod
     def of(g: PLHomeo) -> "WindowMap":
         xs, ys = zip(*g.nodes)
-        inv_slopes = piece_slopes(tuple(zip(ys, xs)))
-        slopes = tuple(to_real(s) for s in inv_slopes)
+        # g has the slope num/den on [x_j, x_{j+1}], so s_j = den/num,
+        # rounded once
+        prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+        slopes = tuple(
+            make(from_rational(den, num, prec, ROUNDING)) for num, den in _slope_pairs(g.nodes)
+        )
         # mpf ** takes its logarithm with 10 extra bits; so does this, and
         # the weights in `at` keep the digits of s ** (1 / p).
         with mpmath.extraprec(10):
@@ -296,7 +277,6 @@ class WindowMap(NamedTuple):
         return WindowMap(
             xs=xs,
             ys=ys,
-            inv_slopes=inv_slopes,
             slopes=slopes,
             log_slopes=log_slopes,
             lengths=tuple(to_real(y1 - y0) for y0, y1 in zip(ys, ys[1:])),
@@ -421,4 +401,9 @@ def normalize(xi: StepFunction, p) -> StepFunction:
     norm = _lp_norm(xi, check_exponent(p))
     if norm == fzero:
         raise DomainError("cannot normalize the zero function")
-    return xi._scaled(mpf_rdiv_int(1, norm, mpmath.mp.prec, ROUNDING))
+    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+    c = mpf_rdiv_int(1, norm, prec, ROUNDING)
+    # mpf arithmetic never overflows, so every product is finite
+    return StepFunction._trusted(
+        xi.breakpoints, tuple(make(mpf_mul(v._mpf_, c, prec, ROUNDING)) for v in xi.values)
+    )

@@ -119,16 +119,6 @@ class ActionSequence:
         return ActionSequence.from_obj(load_json(text, "action_sequence"))
 
 
-def lip_trend(seq: ActionSequence) -> Dict[str, List[Tuple[int, Fraction]]]:
-    """Exact Lipschitz constant per stage per generator label, keyed by
-    label; stage indices are 0-based positions in the sequence."""
-    out: Dict[str, List[Tuple[int, Fraction]]] = {lab: [] for lab in seq.labels}
-    for i, stage in enumerate(seq.stages):
-        for lab, lip, _ in stage.lipschitz_data()[0]:
-            out[lab].append((i, lip))
-    return out
-
-
 @dataclass(frozen=True)
 class StageRecord:
     index: int

@@ -106,11 +106,6 @@ def _slope_pairs(nodes: Sequence[Node]) -> list:
     return pairs
 
 
-def piece_slopes(nodes: Sequence[Node]) -> Tuple[Fraction, ...]:
-    """The slope of each piece between consecutive nodes, as a Fraction."""
-    return tuple(Fraction(num, den) for num, den in _slope_pairs(nodes))
-
-
 def _checked_slopes(nodes: Sequence[Node]) -> list:
     """The slope pairs of a caller's node list, which this validates: the
     coordinates are ints or Fractions, and both increase strictly."""
@@ -297,7 +292,7 @@ class PLHomeo:
         if x < xs[0] or x >= xs[-1]:
             return Fraction(1)
         i = bisect_right(xs, x) - 1
-        return piece_slopes(self.nodes[i : i + 2])[0]
+        return Fraction(*_slope_pairs(self.nodes[i : i + 2])[0])
 
     # -- group structure -------------------------------------------------
 
@@ -371,34 +366,38 @@ class PLHomeo:
         return Fraction(*top)
 
     def fixed_set(self) -> IntervalUnion:
-        """Exact solution set of f(x) = x as a union of closed intervals."""
+        """Exact solution set of f(x) = x as a union of closed intervals.
+
+        One walk over the nodes from left to right meets the components in
+        order, so they come out canonical: a zero offset f(x) - x at a node
+        ends the last component, a piece on the diagonal extends it, and a
+        root inside a piece is a point of its own."""
         if self.is_identity:
             return IntervalUnion.whole_line()
-        # each node's x = a/b and offset y - x = u/v, as unreduced ints
-        offsets = []
-        for x, y in self.nodes:
-            a, b = x.numerator, x.denominator
-            offsets.append((x, a, b, y.numerator * b - a * y.denominator, b * y.denominator))
         parts = []
-        # a tail whose offset is 0 is fixed pointwise
-        (x0, _, _, u, _), (xk, _, _, s, _) = offsets[0], offsets[-1]
-        if u == 0:
-            parts.append((None, x0))
-        if s == 0:
-            parts.append((xk, None))
-        for (x0, a, b, u, v), (x1, e, f, s, t) in zip(offsets, offsets[1:]):
-            if u == 0 and s == 0:
-                parts.append((x0, x1))
-            elif u == 0:
-                parts.append((x0, x0))
-            elif s == 0:
-                parts.append((x1, x1))
-            elif (u < 0) != (s < 0):
-                # the offset is linear in x, so it vanishes at
-                # (x1 d0 - x0 d1) / (d0 - d1) with d0 = u/v and d1 = s/t
+        # the previous node's x = a/b and offset y - x = u/v, as unreduced
+        # ints; u is None at the first node
+        a = b = u = v = None
+        for x, y in self.nodes:
+            e, f = x.numerator, x.denominator
+            s, t = y.numerator * f - e * y.denominator, f * y.denominator
+            if s == 0:
+                if u is None:  # the left tail is fixed pointwise
+                    parts.append((None, x))
+                elif u == 0:  # the piece that ends here is on the diagonal
+                    parts[-1] = (parts[-1][0], x)
+                else:
+                    parts.append((x, x))
+            elif u and (u < 0) != (s < 0):
+                # the offset is linear in x, so it vanishes at (x1 d0 -
+                # x0 d1) / (d0 - d1) with x0 = a/b, d0 = u/v, x1 = e/f and
+                # d1 = s/t
                 root = Fraction(e * b * u * t - a * f * s * v, b * f * (u * t - s * v))
                 parts.append((root, root))
-        return IntervalUnion.from_intervals(parts)
+            a, b, u, v = e, f, s, t
+        if u == 0:  # the right tail is fixed pointwise
+            parts[-1] = (parts[-1][0], None)
+        return IntervalUnion(tuple(parts))
 
     # -- serialization -------------------------------------------------
 

@@ -30,10 +30,6 @@ def set_precision(digits: int) -> None:
     mpmath.mp.dps = check_digits(digits)
 
 
-def get_precision() -> int:
-    return mpmath.mp.dps
-
-
 @contextmanager
 def precision(digits: int):
     old = mpmath.mp.dps

@@ -1,6 +1,8 @@
 """Oracles that live with the tests: pointwise reads of step functions
-and fixed sets, which the library never needs, and the Koopman operations
-and the window estimator's loops in their plain mpf form."""
+and fixed sets, slopes as Fractions, fixed sets sorted and merged from an
+unordered scan, and inner products, which the library never needs; and the
+Koopman operations and the window estimator's loops in their plain mpf
+form."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -8,9 +10,9 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from kazhlip import StepFunction
+from kazhlip import IntervalUnion, StepFunction
 from kazhlip.koopman import WindowCut, check_exponent, refine
-from kazhlip.plmap import evaluate_sorted, piece_slopes
+from kazhlip.plmap import evaluate_sorted
 from kazhlip.precision import to_real
 
 
@@ -35,6 +37,73 @@ def contains(union, x) -> bool:
     return any(
         (lo is None or lo <= x) and (hi is None or x <= hi) for lo, hi in union.components
     )
+
+
+def piece_slopes(nodes):
+    """The slope of each piece between consecutive nodes, as a Fraction."""
+    return tuple(Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]))
+
+
+def inner_product(xi: StepFunction, eta: StepFunction) -> mpf:
+    """Exact piecewise integral of the product over the common refinement."""
+    total = mpf(0)
+    for a, b, u, v in refine(xi, eta):
+        if u != 0 and v != 0:
+            total += u * v * to_real(b - a)
+    return total
+
+
+def from_intervals(parts) -> IntervalUnion:
+    """Normalize an arbitrary list of closed intervals: sort and merge
+    overlapping or touching components."""
+    parts = [(lo, hi) for lo, hi in parts]
+    for lo, hi in parts:
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"interval [{lo}, {hi}] is empty")
+    parts.sort(key=lambda part: (0, Fraction(0)) if part[0] is None else (1, part[0]))
+    merged = []
+    for lo, hi in parts:
+        if merged:
+            plo, phi = merged[-1]
+            # closed intervals touch when endpoints meet
+            if phi is None or lo is None or lo <= phi:
+                merged[-1] = (plo, None if (phi is None or hi is None) else max(phi, hi))
+                continue
+        merged.append((lo, hi))
+    return IntervalUnion(tuple(merged))
+
+
+def is_canonical(u) -> bool:
+    """Sorted, disjoint, non-adjacent components with lo <= hi."""
+    comps = u.components
+    for lo, hi in comps:
+        assert lo is None or hi is None or lo <= hi
+    for (_, hi), (lo, _) in zip(comps, comps[1:]):
+        assert hi is not None and lo is not None and hi < lo
+    return True
+
+
+def fixed_pieces(f):
+    """The fixed points of the PLHomeo f, piece by piece and unordered: each
+    tail and piece on the diagonal, each node on it, and each crossing
+    inside a piece."""
+    xs = [x for x, _ in f.nodes]
+    offsets = [y - x for x, y in f.nodes]
+    parts = []
+    if offsets[0] == 0:
+        parts.append((None, xs[0]))
+    if offsets[-1] == 0:
+        parts.append((xs[-1], None))
+    for x0, x1, d0, d1 in zip(xs, xs[1:], offsets, offsets[1:]):
+        if d0 == d1 == 0:
+            parts.append((x0, x1))
+        elif d0 == 0 or d1 == 0:
+            x = x0 if d0 == 0 else x1
+            parts.append((x, x))
+        elif d0 * d1 < 0:
+            root = x0 + Fraction((x1 - x0) * d0) / (d0 - d1)
+            parts.append((root, root))
+    return parts
 
 
 # The Koopman operations as mpf expressions. The library runs them on raw

@@ -19,7 +19,6 @@ from kazhlip import (
     global_fixed_set,
     koopman_distortion,
     limit_translation_diagnostic,
-    lip_trend,
     normalize_stage,
     phi,
     phi_crossover,
@@ -207,13 +206,12 @@ def test_criterion_11_limit_diagnostics():
         for n in ns
     )
     seq = ActionSequence(("g",), stages)
-    trend = lip_trend(seq)["g"]
-    assert [lip for _, lip in trend] == [F(n, n - 1) for n in ns]
     for stage in stages:
         assert normalize_stage(stage).max_displacement() == 1
     g = Word((("g", 1),))
     words = [g, g.concat(g), g.concat(g).concat(g)]
     diag = limit_translation_diagnostic(seq, words, base=0, cauchy_tol=1e-3)
+    assert [rec.max_lip for rec in diag.stages] == [F(n, n - 1) for n in ns]
     est = dict(diag.estimates)
     assert abs(est["g"] - 1) <= F(1, 1000)
     worst_defect = max(

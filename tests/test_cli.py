@@ -13,7 +13,7 @@ from mpmath import mpf
 import kazhlip
 from kazhlip import GeneratorSet, PLHomeo
 from kazhlip.cli import _join_signed_values, main
-from kazhlip.precision import get_precision, precision
+from kazhlip.precision import precision
 from kazhlip.figures import phi_branch_table, phi_inv_branch_table, render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,10 +152,10 @@ class TestRealArguments:
     def test_precision_ends_with_the_call(self, capsys):
         with precision(40):
             code, out, _ = run(capsys, "--precision", "50", "phi", "1")
-            assert code == 0 and len(out.strip()) == 51 and get_precision() == 40
+            assert code == 0 and len(out.strip()) == 51 and mpmath.mp.dps == 40
             code, out, _ = run(capsys, "phi", "1")
             assert code == 0 and out.strip() == "7.38905609893065022723042746058"
-            assert get_precision() == 40
+            assert mpmath.mp.dps == 40
 
     @pytest.mark.parametrize("argv,field", [
         (["phi", "1e400000"], "t"),
@@ -533,17 +533,16 @@ class TestVerifyAndDeterminism:
         assert first == second
 
 
-# The public names of the package, as the eager imports of earlier versions bound them
+# The public names of the package
 PUBLIC = {
     "ActionSequence", "BoundReport", "DomainError", "GeneratorSet", "IntervalUnion",
     "KazhlipError", "LimitDiagnostic", "PLHomeo", "ResourceLimitError", "SchemaError",
     "StepFunction", "Word", "ball", "bound_report", "corollary_bound", "estimate_lp",
-    "estimate_p2", "format_rational", "get_precision", "global_fixed_set", "inner_product",
-    "kappa_max", "kappa_transfer", "koopman_apply", "koopman_distortion",
-    "limit_translation_diagnostic", "lip_trend", "log_power_bound_check", "lp_norm",
-    "mazur_map", "normalize", "normalize_stage", "parse_rational", "phi", "phi_crossover",
-    "phi_inv", "precision", "set_precision", "subtract", "theorem_check", "window_vector",
-    "word_evaluate",
+    "estimate_p2", "format_rational", "global_fixed_set", "kappa_max", "kappa_transfer",
+    "koopman_apply", "koopman_distortion", "limit_translation_diagnostic",
+    "log_power_bound_check", "lp_norm", "mazur_map", "normalize", "normalize_stage",
+    "parse_rational", "phi", "phi_crossover", "phi_inv", "precision", "set_precision",
+    "subtract", "theorem_check", "window_vector", "word_evaluate",
 }
 
 
@@ -591,7 +590,7 @@ class TestStartUp:
                "PYTHONPATH": str(Path(kazhlip.__file__).parents[1])}
         library = subprocess.run(
             [sys.executable, "-c", "import kazhlip, mpmath\n"
-             "print(kazhlip.phi(mpmath.mpf(1) / 10), kazhlip.get_precision())"],
+             "print(kazhlip.phi(mpmath.mpf(1) / 10), mpmath.mp.dps)"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         cli = subprocess.run([sys.executable, "-m", "kazhlip.cli", "phi", "0.1"],

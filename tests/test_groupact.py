@@ -16,6 +16,7 @@ from kazhlip import (
     global_fixed_set,
     word_evaluate,
 )
+from oracles import from_intervals
 
 BUMP_A = PLHomeo.from_pairs([(0, 0), (1, F(3, 2)), (2, 2)])
 BUMP_B = PLHomeo.from_pairs([(5, 5), (6, F(13, 2)), (7, 7)])
@@ -167,7 +168,7 @@ class TestGlobalFixedSet:
 
     def test_disjoint_bumps(self):
         S = gens(("a", BUMP_A), ("b", BUMP_B))
-        expected = IntervalUnion.from_intervals(
+        expected = from_intervals(
             [(None, F(0)), (F(2), F(5)), (F(7), None)]
         )
         assert global_fixed_set(S) == expected

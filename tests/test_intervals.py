@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kazhlip import IntervalUnion
-from oracles import contains
+from oracles import contains, from_intervals, is_canonical
 
 ends = st.one_of(
     st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -24,7 +24,7 @@ def component(a, b, kind):
 # rays that overlap make the whole line
 unions = st.lists(
     st.builds(component, ends, ends, st.sampled_from(KINDS)), max_size=5
-).map(IntervalUnion.from_intervals)
+).map(from_intervals)
 
 
 def probes(*us):
@@ -35,16 +35,6 @@ def probes(*us):
         return [F(0)]
     mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
     return pts + mids + [pts[0] - 1, pts[-1] + 1]
-
-
-def is_canonical(u):
-    """Sorted, disjoint, non-adjacent components with lo <= hi."""
-    comps = u.components
-    for lo, hi in comps:
-        assert lo is None or hi is None or lo <= hi
-    for (_, hi), (lo, _) in zip(comps, comps[1:]):
-        assert hi is not None and lo is not None and hi < lo
-    return True
 
 
 class TestIntersect:
@@ -65,11 +55,11 @@ class TestIntersect:
                 hi = bhi if ahi is None else ahi if bhi is None else min(ahi, bhi)
                 if lo is None or hi is None or lo <= hi:
                     pairs.append((lo, hi))
-        assert a.intersect(b) == IntervalUnion.from_intervals(pairs)
+        assert a.intersect(b) == from_intervals(pairs)
 
     def test_rays_and_points(self):
-        left = IntervalUnion.from_intervals([(None, F(0)), (F(2), F(2)), (F(5), None)])
-        right = IntervalUnion.from_intervals([(F(-1), F(3)), (F(5), F(5))])
+        left = from_intervals([(None, F(0)), (F(2), F(2)), (F(5), None)])
+        right = from_intervals([(F(-1), F(3)), (F(5), F(5))])
         assert left.intersect(right).components == (
             (F(-1), F(0)), (F(2), F(2)), (F(5), F(5))
         )

@@ -9,7 +9,6 @@ from kazhlip import (
     PLHomeo,
     Word,
     limit_translation_diagnostic,
-    lip_trend,
     normalize_stage,
 )
 
@@ -64,12 +63,12 @@ class TestNormalizeStage:
 class TestLipTrend:
     def test_translations_all_one(self):
         seq = ActionSequence(("g",), tuple(translation_stage(c) for c in (1, 2, 3)))
-        assert [lip for _, lip in lip_trend(seq)["g"]] == [1, 1, 1]
+        assert [stage.max_lip() for stage in seq.stages] == [1, 1, 1]
 
     def test_shrinking_family(self):
         ns = [2**k for k in range(1, 13)]
         seq = ActionSequence(("g",), tuple(stage(n) for n in ns))
-        lips = [lip for _, lip in lip_trend(seq)["g"]]
+        lips = [stage.max_lip() for stage in seq.stages]
         assert lips == [F(n, n - 1) for n in ns]
         assert all(a > b for a, b in zip(lips, lips[1:]))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from decimal import Decimal
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from kazhlip import DomainError, IntervalUnion, PLHomeo, SchemaError, parse_rational
-from kazhlip.plmap import _merge_nodes, evaluate_sorted, format_rational, piece_slopes
+from kazhlip.plmap import _merge_nodes, evaluate_sorted, format_rational
 from kazhlip.verify import random_plhomeo
-from oracles import contains
+from oracles import contains, fixed_pieces, from_intervals, is_canonical, piece_slopes
 
 BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
 SMALL_BUMP = PLHomeo.from_pairs([(0, 0), (1, F(3, 2)), (2, 2)])
@@ -75,24 +76,33 @@ any_wide_plhomeos = st.one_of(
 )
 
 
+@st.composite
+def near_diagonal_plhomeos(draw):
+    """Maps with offsets f(x) - x in {-c, 0, c} at nodes at least 3c apart,
+    so that their fixed sets hold many components: points, segments, rays
+    and roots inside pieces."""
+    c = draw(st.fractions(min_value=F(1, 40), max_value=40, max_denominator=40))
+    gaps = draw(st.lists(st.integers(3, 9), max_size=10))
+    xs = itertools.accumulate(gaps, initial=draw(st.integers(-20, 20)))
+    return PLHomeo.from_pairs(
+        [(c * x, c * (x + draw(st.sampled_from((-1, 0, 0, 1))))) for x in xs]
+    )
+
+
 # The kernel's formulas as plain Fraction expressions, each normalised
 # step by step: the references for its integer cross-products.
-
-
-def slopes_oracle(nodes):
-    return [F(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])]
 
 
 def canonical_oracle(nodes):
     """The nodes where the slope changes, the tails having slope 1; a
     translation by c collapses to (0, c)."""
-    slopes = [F(1), *slopes_oracle(nodes), F(1)]
+    slopes = [F(1), *piece_slopes(nodes), F(1)]
     kept = tuple(n for n, a, b in zip(nodes, slopes, slopes[1:]) if a != b)
     return kept or ((F(0), nodes[0][1] - nodes[0][0]),)
 
 
 def lip_oracle(f):
-    slopes = slopes_oracle(f.nodes)
+    slopes = piece_slopes(f.nodes)
     return max([F(1), *slopes, *(1 / s for s in slopes)])
 
 
@@ -102,6 +112,7 @@ def check_fixed_set(f):
     end of a component: so it agrees on `pts`, between them and on both
     tails, and it changes sign between no two neighbours of `pts`."""
     fs = f.fixed_set()
+    assert is_canonical(fs)
     ends = {e for c in fs.components for e in c if e is not None}
     pts = sorted({x for x, _ in f.nodes} | ends)
     probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
@@ -550,7 +561,7 @@ class TestFixedSet:
         assert PLHomeo.translation(1).fixed_set().is_empty
 
     def test_bump_rays(self):
-        assert SMALL_BUMP.fixed_set() == IntervalUnion.from_intervals(
+        assert SMALL_BUMP.fixed_set() == from_intervals(
             [(None, F(0)), (F(2), None)]
         )
 
@@ -574,6 +585,14 @@ class TestFixedSet:
     def test_membership_agrees_with_evaluate(self, f, x):
         assert contains(f.fixed_set(), x) == (f.evaluate(x) == x)
 
-    @given(st.one_of(plhomeos(), wide_plhomeos, int_plhomeos(ints=wide_ints)))
+    @given(st.one_of(
+        plhomeos(), wide_plhomeos, int_plhomeos(ints=wide_ints), near_diagonal_plhomeos()
+    ))
     def test_exact_on_every_piece(self, f):
         check_fixed_set(f)
+
+    @given(st.one_of(any_wide_plhomeos, near_diagonal_plhomeos()))
+    def test_matches_the_sorted_piece_scan(self, f):
+        # fixed_set builds its components in order; the oracle sorts and
+        # merges the unordered scan
+        assert f.fixed_set() == from_intervals(fixed_pieces(f))

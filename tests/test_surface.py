@@ -1,11 +1,9 @@
-"""No library function or method is reached only from tests: each one is
-public (in kazhlip.__all__), or the package or the benchmark refers to it.
-A test oracle belongs in tests/oracles.py."""
+"""No library function or method is reached only from tests: the package
+or the benchmark refers to each one, public or not. A test oracle belongs in
+tests/oracles.py."""
 
 import ast
 from pathlib import Path
-
-import kazhlip
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "kazhlip").glob("*.py"))
@@ -30,6 +28,12 @@ def referenced_names(paths) -> set:
     return out
 
 
+# Public although no command reaches them: the paper's theorem L >= phi(kappa),
+# its corollary for orderable groups (acceptance criterion 10) and the
+# transfer kappa <= (p/2) d, kept for a reader to check the paper against.
+PAPER_NAMES = ("theorem_check", "corollary_bound", "kappa_transfer")
+
+
 def test_nothing_only_tests_reach():
     reached = referenced_names([*SOURCES, *sorted((ROOT / "benchmarks").glob("*.py"))])
     defined = {
@@ -41,6 +45,6 @@ def test_nothing_only_tests_reach():
     unreached = sorted(
         f"{module}:{name}"
         for module, name in defined
-        if not name.startswith("__") and name not in kazhlip.__all__ and name not in reached
+        if not name.startswith("__") and name not in PAPER_NAMES and name not in reached
     )
     assert unreached == []
