@@ -47,7 +47,7 @@ def _finite(name: str, value) -> mpf:
 def phi(t) -> mpf:
     """max{e^{2t}, 4(2 - t^2)^{-2}} on [0, sqrt 2)."""
     t = _finite("t", t)
-    if t < 0 or t >= mpmath.sqrt(2):
+    if t < 0 or t >= kappa_max():
         raise DomainError(f"phi is defined on [0, sqrt(2)), got {t}")
     return max(phi_branches(t))
 
@@ -61,7 +61,7 @@ def phi_branches(t: mpf) -> Tuple[mpf, mpf]:
 def phi_inv_branches(t: mpf) -> Tuple[mpf, mpf]:
     """The two branches (1/2) log t and sqrt2 (1 - t^{-1/2})^{1/2} of
     phi_inv, for t >= 1; phi_inv is their minimum."""
-    return mpmath.log(t) / 2, mpmath.sqrt(2) * mpmath.sqrt(1 - t ** mpf("-0.5"))
+    return mpmath.log(t) / 2, kappa_max() * mpmath.sqrt(1 - t ** mpf("-0.5"))
 
 
 def phi_inv(t) -> mpf:
@@ -229,7 +229,7 @@ def estimate_lp(S: groupact.GeneratorSet, p, n_schedule: Sequence) -> EstimateFr
     if p == 2:
         analytic = report.lemma41_bound
     else:
-        analytic = p / 2 * log_power_constant(p, to_real(report.L))
+        analytic = _transfer(p, log_power_constant(p, to_real(report.L)))
     return EstimateFragment(p, report.L, report.M, report.sweep, analytic, report.hypothesis_ok)
 
 

@@ -15,7 +15,7 @@ from typing import List, Tuple
 import mpmath
 from mpmath import mpf
 
-from .bounds import phi_branches, phi_crossover, phi_inv_branches
+from .bounds import kappa_max, phi_branches, phi_crossover, phi_inv_branches
 from .errors import DomainError, ResourceLimitError
 from .precision import real_str, to_real
 
@@ -74,7 +74,7 @@ def _branch_table(grid, branches, combine, header, legend, crossover) -> BranchT
 def phi_branch_table(start=0, end="1.4", step="0.01") -> BranchTable:
     """e^{2t} and 4(2-t^2)^{-2} with their max, on a grid in [0, sqrt2)."""
     grid = _grid(start, end, step)
-    if grid[0] < 0 or grid[-1] >= mpmath.sqrt(2):
+    if grid[0] < 0 or grid[-1] >= kappa_max():
         raise DomainError("phi grid must stay inside [0, sqrt(2))")
     tstar = phi_crossover()
     return _branch_table(

@@ -28,7 +28,7 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
     fone, fzero, from_rational, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pow,
-    mpf_pow_int, mpf_rdiv_int, mpf_sub, mpf_sum,
+    mpf_rdiv_int, mpf_sub, mpf_sum,
 )
 
 from .errors import DomainError
@@ -88,34 +88,27 @@ _ZERO = mpf(0)
 def refine(xi: StepFunction, eta: StepFunction):
     """Common refinement over the union of supports: the pieces (a, b, u, v)
     on which xi = u and eta = v, from one merge of the two breakpoint
-    lists, ordered by integer cross-products."""
+    lists, ordered by integer cross-products; a list that is used up reads
+    as 1/0, +infinity."""
     xb, xv = xi.breakpoints, xi.values
     eb, ev = eta.breakpoints, eta.values
     nx, ne = len(xb), len(eb)
-    xq = [b.as_integer_ratio() for b in xb]
-    eq = [b.as_integer_ratio() for b in eb]
     pieces = []
     i = j = 0  # the breakpoints of xi and of eta at or left of the point a
     a = u = v = None
+    xn, xd = xb[0].as_integer_ratio()
+    en, ed = eb[0].as_integer_ratio()
     while i < nx or j < ne:
-        # the sign of xb[i] - eb[j]; a list that is used up reads as +infinity
-        if j == ne:
-            s = -1
-        elif i == nx:
-            s = 1
-        else:
-            (xn, xd), (en, ed) = xq[i], eq[j]
-            s = xn * ed - en * xd
-        if s < 0:
-            b = xb[i]
-            i += 1
-        elif s > 0:
+        s = xn * ed - en * xd  # the sign of xb[i] - eb[j]
+        # on a shared breakpoint both lists step, and b is xi's
+        if s >= 0:
             b = eb[j]
             j += 1
-        else:  # a shared breakpoint
+            en, ed = eb[j].as_integer_ratio() if j < ne else (1, 0)
+        if s <= 0:
             b = xb[i]
             i += 1
-            j += 1
+            xn, xd = xb[i].as_integer_ratio() if i < nx else (1, 0)
         if a is not None:
             pieces.append((a, b, u, v))
         # the piece that starts at b
@@ -171,12 +164,13 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
     r = mpf_rdiv_int(1, p._mpf_, prec, ROUNDING)
     bps, vals = xi.breakpoints, xi.values
     gx, gy = zip(*g.nodes)
-    # g has the slope num/den on [x_j, x_{j+1}], an unreduced pair of ints,
-    # so g^{-1} has the slope den/num on [y_j, y_{j+1}]
+    # g has the slope num/den on its piece k, an unreduced pair of ints,
+    # so g^{-1} has the slope den/num on the image of that piece
     slopes = _slope_pairs(g.nodes)
     n = len(gx)
     gq = [x.as_integer_ratio() for x in gx]
-    # k counts g's nodes at or left of the current point; a pure
+    # k counts g's nodes at or left of the current point, so the point
+    # lies in g's piece k, the left tail's when k = 0; a pure
     # translation has no slope changes, so its node is never merged.
     # A node gx[k] = gq[k] is ordered against a breakpoint b = bn/bd by the
     # sign of gx[k] - b, the integer gq[k][0] bd - bn gq[k][1].
@@ -192,7 +186,7 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
                 values.append(_ZERO)
             else:
                 if k != last:  # one root per piece of g
-                    num, den = slopes[k - 1] if 0 < k < n else (1, 1)
+                    num, den = slopes[k]
                     s = from_rational(den, num, prec, ROUNDING)
                     root, last = mpf_pow(s, r, prec, ROUNDING), k
                 values.append(make(mpf_mul(v, root, prec, ROUNDING)))
@@ -268,7 +262,8 @@ class WindowMap(NamedTuple):
         # rounded once
         prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
         slopes = tuple(
-            make(from_rational(den, num, prec, ROUNDING)) for num, den in _slope_pairs(g.nodes)
+            make(from_rational(den, num, prec, ROUNDING))
+            for num, den in _slope_pairs(g.nodes)[1:-1]
         )
         # mpf ** takes its logarithm with 10 extra bits; so does this, and
         # the weights in `at` keep the digits of s ** (1 / p).
@@ -328,10 +323,11 @@ class WindowMap(NamedTuple):
         else:
             r = r._mpf_  # r log s_j is exact, as mpmath.fmul(..., exact=True)
             roots = [mpf_exp(mpf_mul(r, c._mpf_), prec, ROUNDING) for c in self.log_slopes]
-        # mpf ** p takes an integer power when p is an integer
-        power, q = (mpf_pow_int, int(p)) if p == int(p) else (mpf_pow, p._mpf_)
+        # mpf_pow takes the integer power that mpf ** p takes when p is an
+        # integer
+        q = p._mpf_
         weights = tuple(
-            power(mpf_abs(mpf_sub(x, fone, prec, ROUNDING)), q, prec, ROUNDING) for x in roots
+            mpf_pow(mpf_abs(mpf_sub(x, fone, prec, ROUNDING)), q, prec, ROUNDING) for x in roots
         )
         masses = tuple(
             mpf_mul(w, length._mpf_, prec, ROUNDING) for w, length in zip(weights, self.lengths)

@@ -93,9 +93,10 @@ def format_rational(q: Fraction, path: str = "") -> str:
 
 
 def _slope_pairs(nodes: Sequence[Node]) -> list:
-    """The slope of each piece between consecutive nodes as an unreduced
-    pair of ints (num, den), den > 0. Coordinates are ints or Fractions."""
-    pairs = []
+    """The slope of every piece of the map, as an unreduced pair of ints
+    (num, den), den > 0: the left tail's, then one per pair of consecutive
+    nodes, then the right tail's. Coordinates are ints or Fractions."""
+    pairs = [(1, 1)]
     x0, y0 = nodes[0]
     (a, b), (c, d) = x0.as_integer_ratio(), y0.as_integer_ratio()
     for x1, y1 in nodes[1:]:
@@ -103,6 +104,7 @@ def _slope_pairs(nodes: Sequence[Node]) -> list:
         # (g/h - c/d) / (e/f - a/b) = (g d - c h) b f / ((e b - a f) d h)
         pairs.append(((g * d - c * h) * b * f, (e * b - a * f) * d * h))
         a, b, c, d = e, f, g, h
+    pairs.append((1, 1))
     return pairs
 
 
@@ -122,7 +124,7 @@ def _checked_slopes(nodes: Sequence[Node]) -> list:
     # increases exactly when its factor is positive.
     # format_rational: a coordinate may have more digits than str() prints
     pairs = _slope_pairs(nodes)
-    for i, (num, den) in enumerate(pairs, 1):
+    for i, (num, den) in enumerate(pairs[1:-1], 1):
         if den <= 0:
             x = format_rational(nodes[i][0], f"nodes[{i}][0]")
             raise DomainError(f"x-coordinates not strictly increasing at x={x}")
@@ -135,14 +137,13 @@ def _checked_slopes(nodes: Sequence[Node]) -> list:
 def _drop_collinear(nodes: Sequence[Node], pairs: list) -> Tuple[Node, ...]:
     """The canonical form of a strictly increasing node list, whose slope
     pairs are `pairs`."""
-    # Node i sits between slopes[i] and slopes[i + 1]; the tails have slope
-    # 1. Removing a collinear node never changes its neighbours' slopes, so
-    # a single pass suffices. Both denominators are positive, so the slopes
-    # differ exactly when their cross-products do.
-    slopes = [(1, 1), *pairs, (1, 1)]
+    # Node i sits between pairs[i] and pairs[i + 1]. Removing a collinear
+    # node never changes its neighbours' slopes, so a single pass suffices.
+    # Both denominators are positive, so the slopes differ exactly when
+    # their cross-products do.
     kept = tuple(
         node
-        for node, (n0, d0), (n1, d1) in zip(nodes, slopes, slopes[1:])
+        for node, (n0, d0), (n1, d1) in zip(nodes, pairs, pairs[1:])
         if n0 * d1 != n1 * d0
     )
     if kept:
@@ -272,11 +273,6 @@ class PLHomeo:
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def is_identity(self) -> bool:
-        # the canonical form of a translation by c is the one node (0, c)
-        return len(self.nodes) == 1 and self.nodes[0][1].numerator == 0
-
     def evaluate(self, x) -> Fraction:
         xs, ys = zip(*self.nodes)
         return evaluate_sorted(xs, ys, (Fraction(x),))[0]
@@ -287,12 +283,8 @@ class PLHomeo:
     def slope_at(self, x) -> Fraction:
         """Slope of the (a.e.) derivative at x; at a breakpoint, the
         right-hand slope."""
-        x = Fraction(x)
         xs = [n[0] for n in self.nodes]
-        if x < xs[0] or x >= xs[-1]:
-            return Fraction(1)
-        i = bisect_right(xs, x) - 1
-        return Fraction(*_slope_pairs(self.nodes[i : i + 2])[0])
+        return Fraction(*_slope_pairs(self.nodes)[bisect_right(xs, Fraction(x))])
 
     # -- group structure -------------------------------------------------
 
@@ -341,11 +333,12 @@ class PLHomeo:
     # -- metric data -------------------------------------------------
 
     def lip_constant(self) -> Fraction:
-        """max over a.e. slopes of f and f^{-1} (tails contribute 1)."""
-        # the largest and the smallest slope as unreduced pairs, both
-        # starting from the tails' 1; only the winner is normalised
-        hi = lo = (1, 1)
-        for num, den in _slope_pairs(self.nodes):
+        """max over a.e. slopes of f and f^{-1}, the tails' included."""
+        # the largest and the smallest slope as unreduced pairs; only the
+        # winner is normalised
+        pairs = _slope_pairs(self.nodes)
+        hi = lo = pairs[0]
+        for num, den in pairs:
             if num * hi[1] > hi[0] * den:
                 hi = (num, den)
             if num * lo[1] < lo[0] * den:
@@ -372,8 +365,6 @@ class PLHomeo:
         order, so they come out canonical: a zero offset f(x) - x at a node
         ends the last component, a piece on the diagonal extends it, and a
         root inside a piece is a point of its own."""
-        if self.is_identity:
-            return IntervalUnion.whole_line()
         parts = []
         # the previous node's x = a/b and offset y - x = u/v, as unreduced
         # ints; u is None at the first node

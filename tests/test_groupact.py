@@ -46,11 +46,11 @@ class TestWord:
 class TestWordEvaluate:
     def test_empty_word(self):
         S = gens(("a", BUMP_A))
-        assert word_evaluate(Word(()), S).is_identity
+        assert word_evaluate(Word(()), S) == PLHomeo.identity()
 
     def test_cancellation(self):
         S = gens(("a", BUMP_A))
-        assert word_evaluate(Word((("a", 1), ("a", -1))), S).is_identity
+        assert word_evaluate(Word((("a", 1), ("a", -1))), S) == PLHomeo.identity()
 
     def test_translation_cube(self):
         S = gens(("a", T1))
@@ -67,7 +67,7 @@ class TestBall:
     def test_radius_zero(self):
         S = gens(("a", BUMP_A))
         elems = ball(S, 0)
-        assert len(elems) == 1 and elems[0][0].is_identity
+        assert len(elems) == 1 and elems[0][0] == PLHomeo.identity()
 
     def test_z_ball(self):
         S = gens(("t", T1))

@@ -456,6 +456,22 @@ class TestInvert:
         assert f.invert().compose(f) == IDENT
 
 
+class TestSlopeAt:
+    def test_bump(self):
+        slopes = [BUMP.slope_at(x) for x in (-1, 0, F(1, 2), 1, 2, 3, 4)]
+        assert slopes == [1, 2, 2, F(1, 2), F(1, 2), 1, 1]
+
+    @given(st.one_of(any_plhomeos, any_wide_plhomeos))
+    def test_tails_and_right_hand_slopes(self, f):
+        # slope 1 left of the first node, at the last and right of it; at
+        # every other node, the slope of the piece that starts there
+        xs = [x for x, _ in f.nodes]
+        expected = [*piece_slopes(f.nodes), 1, 1]
+        slopes = [f.slope_at(x) for x in (xs[0] - 1, *xs, xs[-1] + 1)]
+        assert slopes[1:] == expected and slopes[0] == 1
+        assert all(type(s) is F for s in slopes)
+
+
 class TestLipConstant:
     def test_identity(self):
         assert IDENT.lip_constant() == 1

@@ -10,15 +10,16 @@ SOURCES = sorted((ROOT / "src" / "kazhlip").glob("*.py"))
 
 
 def referenced_names(paths) -> set:
-    """Every name, attribute and imported name in the files, and the dotted
-    parts of every string without spaces: `getattr(module, name)` and the
-    benchmark's span table name functions by string."""
+    """Every name and attribute that the files read, every imported name,
+    and the dotted parts of every string without spaces: `getattr(module,
+    name)` and the benchmark's span table name functions by string. A name
+    that is only assigned reaches nothing."""
     out = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 out.add(node.attr)
             elif isinstance(node, ast.alias):
                 out.add(node.name.rpartition(".")[2])
@@ -48,3 +49,12 @@ def test_nothing_only_tests_reach():
         if not name.startswith("__") and name not in PAPER_NAMES and name not in reached
     )
     assert unreached == []
+
+
+def test_only_names_that_are_read_count(tmp_path):
+    source = tmp_path / "sample.py"
+    # a local `scale = ...` alone reaches no function named scale
+    source.write_text("scale = 2\nobj.shift = 1\ndel obj.gone\n")
+    assert referenced_names([source]) == {"obj"}
+    source.write_text("scale = 2\nobj.shift = scale\nprint(obj.width)\n")
+    assert referenced_names([source]) == {"scale", "obj", "print", "width"}
