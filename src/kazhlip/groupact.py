@@ -39,6 +39,14 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", reduce_letters(tuple(self.letters)))
 
+    @classmethod
+    def _reduced(cls, letters: Tuple[Letter, ...]) -> "Word":
+        """The word with these letters, which must already be freely
+        reduced: no reduction and no __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     @staticmethod
     def parse(text: str) -> "Word":
         """Parse words like "a b^-1 a" or "a,b^-1" or "a*b".
@@ -227,7 +235,8 @@ def ball(
     for _ in range(radius):
         nxt = []
         for elem, word in frontier:
-            # the inverse of the word's last letter leads back to its parent
+            # the inverse of the word's last letter leads back to its parent;
+            # every other letter extends the reduced word to a reduced word
             back = (word.letters[-1][0], -word.letters[-1][1]) if word.letters else None
             for letter, g in steps:
                 if letter == back:
@@ -240,7 +249,7 @@ def ball(
                     raise ResourceLimitError(
                         f"ball size exceeded the cap of {cap} elements"
                     )
-                entry = (new, Word(word.letters + (letter,)))
+                entry = (new, Word._reduced(word.letters + (letter,)))
                 entries.append(entry)
                 nxt.append(entry)
         frontier = nxt

@@ -32,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError
-from .plmap import PLHomeo, _slope_pairs, evaluate_sorted
+from .plmap import PLHomeo, _slope_pairs, check_exact, evaluate_sorted, merge_sorted
 from .precision import ROUNDING, to_real
 
 
@@ -52,22 +52,28 @@ class StepFunction:
     values: Tuple[mpf, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        vals = tuple(mpf(v) for v in self.values)
+        bps = tuple(
+            Fraction(check_exact(b, f"breakpoints[{i}]")) for i, b in enumerate(self.breakpoints)
+        )
+        vals = []
+        for i, v in enumerate(self.values):
+            try:
+                vals.append(mpf(v))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"values[{i}]: expected a real, got {repr(v)[:40]}") from exc
+            if not mpmath.isfinite(vals[-1]):
+                raise DomainError(f"values[{i}]: step function values must be finite")
         if len(bps) < 2:
             raise DomainError("a step function needs at least two breakpoints")
         if len(vals) != len(bps) - 1:
             raise DomainError(
                 f"{len(bps)} breakpoints require {len(bps) - 1} values, got {len(vals)}"
             )
-        for a, b in zip(bps, bps[1:]):
+        for i, (a, b) in enumerate(zip(bps, bps[1:]), 1):
             if b <= a:
-                raise DomainError(f"breakpoints not strictly increasing at {b}")
-        for v in vals:
-            if not mpmath.isfinite(v):
-                raise DomainError("step function values must be finite")
+                raise DomainError(f"breakpoints[{i}]: not strictly increasing at {b}")
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(vals))
 
     @classmethod
     def _trusted(
@@ -87,35 +93,12 @@ _ZERO = mpf(0)
 
 def refine(xi: StepFunction, eta: StepFunction):
     """Common refinement over the union of supports: the pieces (a, b, u, v)
-    on which xi = u and eta = v, from one merge of the two breakpoint
-    lists, ordered by integer cross-products; a list that is used up reads
-    as 1/0, +infinity."""
-    xb, xv = xi.breakpoints, xi.values
-    eb, ev = eta.breakpoints, eta.values
-    nx, ne = len(xb), len(eb)
-    pieces = []
-    i = j = 0  # the breakpoints of xi and of eta at or left of the point a
-    a = u = v = None
-    xn, xd = xb[0].as_integer_ratio()
-    en, ed = eb[0].as_integer_ratio()
-    while i < nx or j < ne:
-        s = xn * ed - en * xd  # the sign of xb[i] - eb[j]
-        # on a shared breakpoint both lists step, and b is xi's
-        if s >= 0:
-            b = eb[j]
-            j += 1
-            en, ed = eb[j].as_integer_ratio() if j < ne else (1, 0)
-        if s <= 0:
-            b = xb[i]
-            i += 1
-            xn, xd = xb[i].as_integer_ratio() if i < nx else (1, 0)
-        if a is not None:
-            pieces.append((a, b, u, v))
-        # the piece that starts at b
-        a = b
-        u = xv[i - 1] if 0 < i < nx else _ZERO
-        v = ev[j - 1] if 0 < j < ne else _ZERO
-    return pieces
+    on which xi = u and eta = v, read from one merge of the two breakpoint
+    lists. A function with k breakpoints at or left of a is zero on the
+    piece when k is 0 or all of them, and takes its value k - 1 otherwise."""
+    xv, ev = (_ZERO, *xi.values, _ZERO), (_ZERO, *eta.values, _ZERO)
+    points = merge_sorted(xi.breakpoints, eta.breakpoints)
+    return [(a, b, xv[i], ev[j]) for (a, i, j, _), (b, _, _, _) in zip(points, points[1:])]
 
 
 def subtract(xi: StepFunction, eta: StepFunction) -> StepFunction:
@@ -164,40 +147,30 @@ def _koopman_apply(g: PLHomeo, xi: StepFunction, p: mpf) -> StepFunction:
     r = mpf_rdiv_int(1, p._mpf_, prec, ROUNDING)
     bps, vals = xi.breakpoints, xi.values
     gx, gy = zip(*g.nodes)
-    # g has the slope num/den on its piece k, an unreduced pair of ints,
+    # g has the slope num/den on its piece j, an unreduced pair of ints,
     # so g^{-1} has the slope den/num on the image of that piece
     slopes = _slope_pairs(g.nodes)
-    n = len(gx)
-    gq = [x.as_integer_ratio() for x in gx]
-    # k counts g's nodes at or left of the current point, so the point
-    # lies in g's piece k, the left tail's when k = 0; a pure
-    # translation has no slope changes, so its node is never merged.
-    # A node gx[k] = gq[k] is ordered against a breakpoint b = bn/bd by the
-    # sign of gx[k] - b, the integer gq[k][0] bd - bn gq[k][1].
-    bn, bd = bps[0].as_integer_ratio()
-    k = bisect_right(gq, False, key=lambda c: c[0] * bd > bn * c[1]) if n > 1 else n
-    xs, values = [bps[0]], []
+    # At a merged point, i counts xi's breakpoints and j g's nodes at or
+    # left of it: the piece that starts there is xi's piece i - 1 and lies
+    # in g's piece j, the left tail's when j = 0. A pure translation has no
+    # slope changes, so its node is not merged.
+    xs, values = [], []
     last = root = None
-    for v, b in zip(vals, bps[1:]):
-        # xi is v on [xs[-1], b); each node of g inside ends one piece
-        v, (bn, bd) = v._mpf_, b.as_integer_ratio()
-        while True:
-            if v == fzero:
-                values.append(_ZERO)
-            else:
-                if k != last:  # one root per piece of g
-                    num, den = slopes[k]
-                    s = from_rational(den, num, prec, ROUNDING)
-                    root, last = mpf_pow(s, r, prec, ROUNDING), k
-                values.append(make(mpf_mul(v, root, prec, ROUNDING)))
-            order = gq[k][0] * bd - bn * gq[k][1] if k < n else 1
-            if order >= 0:
-                break
-            xs.append(gx[k])
-            k += 1
-        xs.append(b)
-        if order == 0:
-            k += 1
+    for x, i, j, _ in merge_sorted(bps, gx if len(gx) > 1 else ()):
+        if i == 0:  # a node of g left of xi's support
+            continue
+        xs.append(x)
+        if i == len(bps):  # the right end of xi's support
+            break
+        v = vals[i - 1]._mpf_
+        if v == fzero:
+            values.append(_ZERO)
+        else:
+            if j != last:  # one root per piece of g
+                num, den = slopes[j]
+                s = from_rational(den, num, prec, ROUNDING)
+                root, last = mpf_pow(s, r, prec, ROUNDING), j
+            values.append(make(mpf_mul(v, root, prec, ROUNDING)))
     return StepFunction._trusted(tuple(evaluate_sorted(gx, gy, xs)), tuple(values))
 
 
@@ -208,8 +181,9 @@ def koopman_distortion(g: PLHomeo, xi: StepFunction, p) -> mpf:
 
 
 def window_vector(n, p) -> StepFunction:
-    """The unit vector (2n)^{-1/p} 1_{[-n, n]} in L^p."""
-    n = Fraction(n)
+    """The unit vector (2n)^{-1/p} 1_{[-n, n]} in L^p; the radius n is an
+    int or a Fraction."""
+    n = Fraction(check_exact(n, "n"))
     if n <= 0:
         raise DomainError(f"window radius must be positive, got {n}")
     p = check_exponent(p)

@@ -92,6 +92,15 @@ def format_rational(q: Fraction, path: str = "") -> str:
         ) from exc
 
 
+def check_exact(c, path: str):
+    """c, if it is an int or a Fraction: the kernel reads the numerator and
+    denominator of every coordinate, so a float is never rounded silently.
+    Anything else raises DomainError naming its field, `path`."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise DomainError(f"{path}: expected an int or a Fraction, got {type(c).__name__}")
+
+
 def _slope_pairs(nodes: Sequence[Node]) -> list:
     """The slope of every piece of the map, as an unreduced pair of ints
     (num, den), den > 0: the left tail's, then one per pair of consecutive
@@ -113,13 +122,9 @@ def _checked_slopes(nodes: Sequence[Node]) -> list:
     coordinates are ints or Fractions, and both increase strictly."""
     if not nodes:
         raise DomainError("a PL map needs at least one node")
-    # the kernel reads the numerator and denominator of every coordinate
     for i, node in enumerate(nodes):
         for j, c in enumerate(node):
-            if not isinstance(c, (int, Fraction)):
-                raise DomainError(
-                    f"nodes[{i}][{j}]: expected an int or a Fraction, got {type(c).__name__}"
-                )
+            check_exact(c, f"nodes[{i}][{j}]")
     # Each pair is (rise b f, run d h) with b, d, f, h > 0, so a coordinate
     # increases exactly when its factor is positive.
     # format_rational: a coordinate may have more digits than str() prints
@@ -155,34 +160,34 @@ def _drop_collinear(nodes: Sequence[Node], pairs: list) -> Tuple[Node, ...]:
 
 
 # Order decisions compare rationals a/b and c/d, b, d > 0, by the sign of
-# the integer c b - a d, never as Fractions; a list that is used up reads as
-# 1/0, +infinity. A node's numerator and denominator are read when the walk
-# reaches it.
+# the integer c b - a d, never as Fractions.
 
 
-def _merge_nodes(xs, ys, us, vs):
-    """The nodes (xs[i], ys[i]) and (us[j], vs[j]), both increasing in x,
-    as one increasing node list; on equal x the first list's node is kept."""
+def merge_sorted(xs: Sequence, us: Sequence) -> list:
+    """The union of the increasing rational lists xs and us, in order, as
+    tuples (x, i, j, from_xs): i and j count the elements of xs and of us
+    at or left of x, and from_xs says whether x is an element of xs. On
+    equal values both lists step and the element of xs is kept.
+
+    A list that is used up reads as 1/0, +infinity, so the merge has no
+    end-of-list case; an element's numerator and denominator are read when
+    the merge reaches it."""
     out = []
     m, n = len(xs), len(us)
     i = j = 0
     a, b = xs[0].as_integer_ratio() if m else (1, 0)
     c, d = us[0].as_integer_ratio() if n else (1, 0)
-    while i < m and j < n:
+    while i < m or j < n:
         s = c * b - a * d  # the sign of us[j] - xs[i]
-        if s < 0:
-            out.append((us[j], vs[j]))
+        if s <= 0:
+            x = us[j]
             j += 1
             c, d = us[j].as_integer_ratio() if j < n else (1, 0)
-        else:
-            out.append((xs[i], ys[i]))
+        if s >= 0:
+            x = xs[i]
             i += 1
             a, b = xs[i].as_integer_ratio() if i < m else (1, 0)
-            if s == 0:
-                j += 1
-                c, d = us[j].as_integer_ratio() if j < n else (1, 0)
-    out.extend(zip(xs[i:], ys[i:]))
-    out.extend(zip(us[j:], vs[j:]))
+        out.append((x, i, j, s >= 0))
     return out
 
 
@@ -313,9 +318,13 @@ class PLHomeo:
         gx, gy = zip(*g)
         # f o g can bend only at g's nodes, where it takes the values f(gy),
         # and at the preimages under g of f's nodes, where it takes fy. Both
-        # lists increase, so one merge orders them; f o g increases, so the
-        # merged nodes need no validation.
-        nodes = _merge_nodes(gx, evaluate_sorted(fx, fy, gy), evaluate_sorted(gy, gx, fx), fy)
+        # lists increase, so one merge orders them, and on a shared x keeps
+        # g's node; f o g increases, so the merged nodes need no validation.
+        gv = evaluate_sorted(fx, fy, gy)
+        nodes = [
+            (x, gv[i - 1] if from_g else fy[j - 1])
+            for x, i, j, from_g in merge_sorted(gx, evaluate_sorted(gy, gx, fx))
+        ]
         return PLHomeo._canonical(_drop_collinear(nodes, _slope_pairs(nodes)))
 
     def conjugate_by_homothety(self, alpha) -> "PLHomeo":

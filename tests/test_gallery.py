@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from kazhlip import GeneratorSet, PLHomeo, Word, ball, global_fixed_set, word_evaluate
+from kazhlip import GeneratorSet, PLHomeo, Word, ball, global_fixed_set, groupact, word_evaluate
 
 GALLERY = Path(__file__).parent / "golden" / "gallery" / "inputs"
 THOMPSON_F = GeneratorSet.from_json((GALLERY / "thompson_F.json").read_text())
@@ -47,11 +47,14 @@ def counted(calls, name, f):
 
 @pytest.fixture(scope="module")
 def f_ball():
-    """ball(F, 8), and the compose calls, Fraction constructions and
-    Fraction comparisons, equality tests and hashes it took."""
+    """ball(F, 8), and the compose calls, word reductions, Fraction
+    constructions and Fraction comparisons, equality tests and hashes it
+    took."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PLHomeo, "compose", counted(calls, "compose", PLHomeo.compose))
+        reduce = groupact.reduce_letters
+        mp.setattr(groupact, "reduce_letters", counted(calls, "reduce_letters", reduce))
         mp.setattr(F, "__new__", counted(calls, "Fraction", F.__new__))
         for name in FRACTION_ORDER:
             mp.setattr(F, name, counted(calls, name, getattr(F, name)))
@@ -100,6 +103,13 @@ class TestThompsonF:
         # 4 steps from the identity, 3 from each other element inside radius 7
         elems, calls = f_ball
         assert calls["compose"] == 4 + 3 * (sum(F_SPHERES[:8]) - 1) == 11872
+
+    def test_ball_reduces_no_word(self, f_ball):
+        # each new word extends a reduced word by a letter that does not
+        # cancel, so only the identity's empty word may go through
+        # reduce_letters
+        _, calls = f_ball
+        assert calls["reduce_letters"] <= 1
 
     @CPYTHON_311
     def test_ball_fraction_budget(self, f_ball):

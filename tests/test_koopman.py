@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -142,6 +143,26 @@ class TestKoopmanApply:
             rhs = koopman_apply(f, koopman_apply(g, xi, p), p)
             assert max(abs(u - v) for _, _, u, v in refine(lhs, rhs)) <= TOL
 
+    # g's nodes against xi's breakpoints 0, 1, 3 and 5
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [(0, 1), (2, 2)],  # a node on the first breakpoint
+            [(F(1, 2), 0), (5, 7)],  # on the last
+            [(F(1, 2), 1), (3, 2)],  # on an interior one
+            [(-7, -5), (-4, -4), (-2, -1)],  # all left of the support
+            [(6, 5), (8, 9), (10, 10)],  # all right of it
+        ],
+    )
+    def test_nodes_at_the_breakpoints_and_outside(self, nodes):
+        g = PLHomeo.from_pairs(nodes)
+        xi = StepFunction((F(0), F(1), F(3), F(5)), (mpf(2), mpf(0), mpf(-3)))
+        for p in (1, 2, 3, mpf("2.5")):
+            want = oracles.koopman_apply(g, xi, p)
+            got = koopman_apply(g, xi, p)
+            assert got.breakpoints == want.breakpoints
+            assert [v._mpf_ for v in got.values] == [v._mpf_ for v in want.values]
+
 
 class TestDistortion:
     def test_identity_zero(self):
@@ -172,9 +193,10 @@ class TestDistortion:
             assert abs(d - 2 ** (1 / mpf(p))) <= TOL
 
     def test_operation_budget(self, monkeypatch):
-        # one image, one difference (one refinement) and one norm per call;
-        # p is validated once, and no piece length or slope is taken to a
-        # real through to_real
+        # one image, one difference (one refinement) and one norm per call,
+        # and one merge each for the image and the refinement; p is
+        # validated once, and no piece length or slope is taken to a real
+        # through to_real
         calls = collections.Counter()
         converted = []
 
@@ -185,7 +207,9 @@ class TestDistortion:
 
             return wrapper
 
-        names = ("_koopman_apply", "subtract", "refine", "_lp_norm", "check_exponent")
+        names = (
+            "_koopman_apply", "subtract", "refine", "_lp_norm", "check_exponent", "merge_sorted"
+        )
         for name in names:
             monkeypatch.setattr(koopman, name, counted(name, getattr(koopman, name)))
         to_real = koopman.to_real
@@ -193,7 +217,7 @@ class TestDistortion:
         rng = random.Random(5)
         g, xi = random_plhomeo(rng, max_nodes=20), random_step_function(rng, max_pieces=30)
         koopman_distortion(g, xi, 3)
-        assert calls == dict.fromkeys(names, 1)
+        assert calls == {**dict.fromkeys(names, 1), "merge_sorted": 2}
         assert converted == [3]  # p itself, in check_exponent
 
     def test_orders_on_integers(self, monkeypatch):
@@ -216,6 +240,40 @@ class TestDistortion:
             monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
         assert koopman_distortion(g, xi, 3) > 0
         assert calls == {}
+
+
+class TestStepFunctionInput:
+    """Breakpoints and radii are exact, as PLHomeo nodes are, and a value
+    must be one that mpf reads; anything else is a DomainError that names
+    its field."""
+
+    @pytest.mark.parametrize(
+        "breakpoints, field",
+        [
+            ((0.1, 1), "breakpoints[0]"),  # would round to 3602879701896397/2^55
+            ((0, mpf(1)), "breakpoints[1]"),
+            ((0, 1, None), "breakpoints[2]"),
+        ],
+    )
+    def test_inexact_breakpoint(self, breakpoints, field):
+        values = (mpf(1),) * (len(breakpoints) - 1)
+        with pytest.raises(DomainError, match=re.escape(field)):
+            StepFunction(breakpoints, values)
+
+    @pytest.mark.parametrize("value", ["abc", None])
+    def test_unreadable_value(self, value):
+        with pytest.raises(DomainError, match=re.escape("values[1]")):
+            StepFunction((0, 1, 2), (mpf(1), value))
+
+    @pytest.mark.parametrize("n", [0.5, mpf(2), None])
+    def test_inexact_radius(self, n):
+        with pytest.raises(DomainError, match="^n: "):
+            window_vector(n, 2)
+
+    def test_exact_input_accepted(self):
+        xi = StepFunction((0, F(1, 3)), ("1.5",))
+        assert xi.breakpoints == (F(0), F(1, 3)) and type(xi.breakpoints[0]) is F
+        assert window_vector(1, 2).breakpoints == (F(-1), F(1))
 
 
 class TestWindowVector:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from kazhlip import DomainError, IntervalUnion, PLHomeo, SchemaError, parse_rational
-from kazhlip.plmap import _merge_nodes, evaluate_sorted, format_rational
+from kazhlip.plmap import evaluate_sorted, format_rational, merge_sorted
 from kazhlip.verify import random_plhomeo
 from oracles import contains, fixed_pieces, from_intervals, is_canonical, piece_slopes
 
@@ -283,19 +283,31 @@ class TestOrderOnIntegers:
         pool = data.draw(st.lists(mixed_coords, min_size=1, max_size=10, unique=True))
         xs = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)))
         us = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)))
-        # an x shared with the first list may come as an int in one list
-        # and as a Fraction in the other
+        # a value shared with xs may come as an int in one list and as a
+        # Fraction in the other
         us = [data.draw(st.sampled_from([u, F(u)])) for u in us]
-        ys = [("first", i) for i in range(len(xs))]
-        vs = [("second", j) for j in range(len(us))]
-        # on equal x the first list's node, with its own x, is kept
-        want = dict(zip(xs, ys))
-        for u, v in zip(us, vs):
-            want.setdefault(u, v)
-        got = _merge_nodes(xs, ys, us, vs)
-        assert [(type(x), x, y) for x, y in got] == [
-            (type(x), x, y) for x, y in sorted(want.items(), key=lambda node: node[0])
+        got = merge_sorted(xs, us)
+        # the union in order; on equal values the element of xs, with its
+        # own type, is kept
+        want = {F(u): u for u in us}
+        want.update({F(x): x for x in xs})
+        assert [(type(x), x) for x, _, _, _ in got] == [
+            (type(x), x) for _, x in sorted(want.items())
         ]
+        for x, i, j, from_xs in got:
+            assert i == sum(a <= x for a in xs)
+            assert j == sum(u <= x for u in us)
+            assert from_xs == (x in xs)
+
+    def test_merge_ends_and_ties(self):
+        assert merge_sorted([], []) == []
+        assert merge_sorted([F(1, 2)], []) == [(F(1, 2), 1, 0, True)]
+        assert merge_sorted([], [F(1, 2)]) == [(F(1, 2), 0, 1, False)]
+        # an int in xs equal to a Fraction in us: both step, and the int is
+        # kept
+        got = merge_sorted([-1, 3], [F(3), F(7, 2)])
+        assert got == [(-1, 1, 0, True), (3, 2, 1, True), (F(7, 2), 2, 2, False)]
+        assert type(got[1][0]) is int
 
 
 class TestParseRational:
