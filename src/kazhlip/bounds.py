@@ -30,15 +30,15 @@ from mpmath import mpf
 # read at call time: `phi` and `phi-inv` run neither module
 from . import groupact, koopman
 from .errors import DomainError
-from .plmap import format_rational
-from .precision import real_str, to_real
+from .plmap import check_exact, format_rational
+from .precision import read_real, real_str, to_real
 
 def kappa_max() -> mpf:
     return mpmath.sqrt(2)
 
 
 def _finite(name: str, value) -> mpf:
-    value = to_real(value)
+    value = read_real(value, name)
     if not mpmath.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
@@ -124,7 +124,7 @@ def log_power_constant(p: mpf, L: mpf) -> mpf:
 def log_power_bound_check(x, p, L) -> Tuple[bool, mpf]:
     """Check the log-power inequality for L > 1, x in [1/L, L], p > log L;
     returns (ok, slack) with slack = bound - |x^{1/p} - 1|."""
-    x, p, L = to_real(x), to_real(p), to_real(L)
+    x, p, L = _finite("x", x), _finite("p", p), _finite("L", L)
     if L <= 1:
         raise DomainError(f"need L > 1, got {L}")
     if x < 1 / L or x > L:
@@ -180,7 +180,7 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
     and, for n > M, the proof's per-n bound: Lemma 4.1's at p = 2, the L^p
     one at any other p, which needs p > log L and p >= 2. `cuts` holds each
     schedule entry n with n and 2n as reals and its window's cuts."""
-    p, Lr = to_real(p), to_real(L)
+    p, Lr = read_real(p, "p"), to_real(L)
     if p == 2:
         root_L = mpmath.sqrt(Lr)
 
@@ -238,7 +238,7 @@ SCHEDULE_KMAX = 12
 
 def default_n_schedule(M: Fraction) -> List[Fraction]:
     """Geometric schedule n = 2^k max(1, M), k = 0..SCHEDULE_KMAX."""
-    base = max(Fraction(1), Fraction(M))
+    base = max(Fraction(1), M)
     return [base * 2**k for k in range(SCHEDULE_KMAX + 1)]
 
 
@@ -326,7 +326,8 @@ def bound_report(
     # each schedule entry n with the reals n and 2n, and the cuts of its
     # window by every generator
     cuts = []
-    for n in map(Fraction, n_schedule):
+    for i, n in enumerate(n_schedule):
+        n = check_exact(n, f"schedule[{i}]")
         if n <= 0:
             raise DomainError(
                 f"schedule entries must be positive, got {format_rational(n, 'schedule')}"

@@ -17,7 +17,7 @@ from mpmath import mpf
 
 from .bounds import kappa_max, phi_branches, phi_crossover, phi_inv_branches
 from .errors import DomainError, ResourceLimitError
-from .precision import real_str, to_real
+from .precision import read_real, real_str
 
 WIDTH, HEIGHT = 800, 600
 MARGIN = 60
@@ -42,7 +42,7 @@ class BranchTable:
 
 
 def _grid(start, end, step) -> List[mpf]:
-    start, end, step = to_real(start), to_real(end), to_real(step)
+    start, end, step = read_real(start, "start"), read_real(end, "end"), read_real(step, "step")
     if not all(mpmath.isfinite(v) for v in (start, end, step)):
         raise DomainError(f"grid values must be finite, got {start}:{end}:{step}")
     if step <= 0:

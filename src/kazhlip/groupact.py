@@ -128,15 +128,6 @@ class GeneratorSet:
 
     # -- serialization ---------------------------------------------------
 
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "symmetric": self.symmetric,
-            "generators": [
-                {"label": label, "map": g.to_obj()} for label, g in self.generators
-            ],
-        }
-
     @staticmethod
     def from_obj(obj, path: str = "generator_set") -> "GeneratorSet":
         if not isinstance(obj, dict):
@@ -170,9 +161,6 @@ class GeneratorSet:
     @staticmethod
     def from_json(text: str) -> "GeneratorSet":
         return GeneratorSet.from_obj(load_json(text, "generator_set"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2)
 
 
 def lipschitz_obj(per_generator: Sequence[LipRow], L, M) -> dict:
@@ -218,8 +206,8 @@ def ball(
     canonical form, each with a shortest representing word, in the
     breadth-first order of the search: by word length, and within a length
     in the order the elements were reached."""
-    if radius < 0:
-        raise DomainError(f"radius must be >= 0, got {radius}")
+    if not isinstance(radius, int) or radius < 0:
+        raise DomainError(f"radius must be an int >= 0, got {radius!r}")
     steps: List[Tuple[Letter, PLHomeo]] = []
     for label, g in S.generators:
         steps.append(((label, 1), g))

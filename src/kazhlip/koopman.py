@@ -33,11 +33,11 @@ from mpmath.libmp import (
 
 from .errors import DomainError
 from .plmap import PLHomeo, _slope_pairs, check_exact, evaluate_sorted, merge_sorted
-from .precision import ROUNDING, to_real
+from .precision import ROUNDING, read_real, to_real
 
 
 def check_exponent(p) -> mpf:
-    p = to_real(p)
+    p = read_real(p, "p")
     if not mpmath.isfinite(p) or p < 1:
         raise DomainError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
     return p

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceLimitError, SchemaError
 from .groupact import GeneratorSet, Word, load_json, word_evaluate
-from .plmap import format_rational
+from .plmap import check_exact, format_rational
 
 DEFAULT_CAUCHY_TOL = 1e-6
 LIP_TO_ONE_TOL = Fraction(1, 100)
@@ -88,12 +88,6 @@ class ActionSequence:
                 raise DomainError(
                     f"stage {i} has labels {stage.labels}, expected {self.labels}"
                 )
-
-    def to_obj(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "stages": [s.to_obj() for s in self.stages],
-        }
 
     @staticmethod
     def from_obj(obj, path: str = "action_sequence") -> "ActionSequence":
@@ -225,7 +219,7 @@ def limit_translation_diagnostic(
     the limit action is by translations."""
     if not (math.isfinite(cauchy_tol) and cauchy_tol >= 0):
         raise DomainError(f"the Cauchy tolerance must be finite and >= 0, got {cauchy_tol}")
-    base = Fraction(base)
+    base = check_exact(base, "base")
     for w in words:
         for label, _ in w.letters:
             if label not in seq.labels:

@@ -265,8 +265,7 @@ class PLHomeo:
 
     @staticmethod
     def from_pairs(pairs: Iterable) -> "PLHomeo":
-        nodes = tuple((Fraction(x), Fraction(y)) for x, y in pairs)
-        return PLHomeo(nodes)
+        return PLHomeo(tuple(map(tuple, pairs)))
 
     @staticmethod
     def identity() -> "PLHomeo":
@@ -274,13 +273,13 @@ class PLHomeo:
 
     @staticmethod
     def translation(c) -> "PLHomeo":
-        return PLHomeo._canonical(((Fraction(0), Fraction(c)),))
+        return PLHomeo._canonical(((Fraction(0), check_exact(c, "c")),))
 
     # -- basic queries -------------------------------------------------
 
     def evaluate(self, x) -> Fraction:
         xs, ys = zip(*self.nodes)
-        return evaluate_sorted(xs, ys, (Fraction(x),))[0]
+        return evaluate_sorted(xs, ys, (check_exact(x, "x"),))[0]
 
     def __call__(self, x) -> Fraction:
         return self.evaluate(x)
@@ -289,7 +288,7 @@ class PLHomeo:
         """Slope of the (a.e.) derivative at x; at a breakpoint, the
         right-hand slope."""
         xs = [n[0] for n in self.nodes]
-        return Fraction(*_slope_pairs(self.nodes)[bisect_right(xs, Fraction(x))])
+        return Fraction(*_slope_pairs(self.nodes)[bisect_right(xs, check_exact(x, "x"))])
 
     # -- group structure -------------------------------------------------
 
@@ -332,7 +331,8 @@ class PLHomeo:
 
         Preserves the Lipschitz constant and divides the displacement by
         alpha; alpha must be positive to keep orientation."""
-        alpha = Fraction(alpha)
+        # the nodes may be ints, which alpha must divide exactly
+        alpha = Fraction(check_exact(alpha, "alpha"))
         if alpha <= 0:
             raise DomainError(f"homothety ratio must be positive, got {alpha}")
         # Scaling both coordinates keeps every slope, so the nodes stay
@@ -400,11 +400,6 @@ class PLHomeo:
         return IntervalUnion(tuple(parts))
 
     # -- serialization -------------------------------------------------
-
-    def to_obj(self) -> dict:
-        return {
-            "nodes": [[format_rational(x), format_rational(y)] for x, y in self.nodes]
-        }
 
     @staticmethod
     def from_obj(obj, path: str = "plhomeo") -> "PLHomeo":

@@ -18,7 +18,7 @@ from mpmath import mpf
 from mpmath.libmp import from_rational
 
 # The digit rules need no mpmath; they live in errors and are re-exported here.
-from .errors import DEFAULT_DIGITS, MIN_DIGITS, check_digits
+from .errors import DEFAULT_DIGITS, MIN_DIGITS, DomainError, check_digits
 
 # The rounding direction of the reals that the package rounds itself:
 # to_real, and the window estimator's libmp arithmetic in koopman. To
@@ -47,6 +47,15 @@ def to_real(x) -> mpf:
         rounded = from_rational(x.numerator, x.denominator, mpmath.mp.prec, ROUNDING)
         return mpmath.mp.make_mpf(rounded)
     return mpf(x)
+
+
+def read_real(x, name: str) -> mpf:
+    """to_real(x) for a caller's argument `name`: a value that mpf cannot
+    read raises DomainError naming it."""
+    try:
+        return to_real(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{name}: expected a real, got {repr(x)[:40]}") from exc
 
 
 def real_str(x) -> str:

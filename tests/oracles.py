@@ -1,8 +1,8 @@
 """Oracles that live with the tests: pointwise reads of step functions
 and fixed sets, slopes as Fractions, fixed sets sorted and merged from an
-unordered scan, and inner products, which the library never needs; and the
-Koopman operations and the window estimator's loops in their plain mpf
-form."""
+unordered scan, inner products and the input-file form of a generator set,
+which the library never needs; and the Koopman operations and the window
+estimator's loops in their plain mpf form."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -12,7 +12,7 @@ from mpmath import mpf
 
 from kazhlip import IntervalUnion, StepFunction
 from kazhlip.koopman import WindowCut, check_exponent, refine
-from kazhlip.plmap import evaluate_sorted
+from kazhlip.plmap import evaluate_sorted, format_rational
 from kazhlip.precision import to_real
 
 
@@ -71,6 +71,22 @@ def from_intervals(parts) -> IntervalUnion:
                 continue
         merged.append((lo, hi))
     return IntervalUnion(tuple(merged))
+
+
+def set_obj(S) -> dict:
+    """The GeneratorSet S as an input file's JSON object, which
+    GeneratorSet.from_obj reads back as S."""
+    return {
+        "name": S.name,
+        "symmetric": S.symmetric,
+        "generators": [
+            {
+                "label": label,
+                "map": {"nodes": [[format_rational(x), format_rational(y)] for x, y in g.nodes]},
+            }
+            for label, g in S.generators
+        ],
+    }
 
 
 def is_canonical(u) -> bool:

@@ -392,40 +392,80 @@ class TestBoundReport:
         assert bound_report(S).to_json() == bound_report(S).to_json()
 
 
+def report_calls(monkeypatch, S, *args) -> collections.Counter:
+    """The calls that bound_report(S, *args) makes to the window layer,
+    evaluate_sorted, to_real, and exp and log."""
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    window = koopman.WindowMap
+    monkeypatch.setattr(window, "of", staticmethod(counted("of", window.of)))
+    monkeypatch.setattr(window, "cut", counted("cut", window.cut))
+    monkeypatch.setattr(window, "at", counted("at", window.at))
+    # every module that calls a name imported it into its own namespace
+    evaluate_sorted = counted("evaluate_sorted", plmap.evaluate_sorted)
+    for module in (plmap, koopman):
+        monkeypatch.setattr(module, "evaluate_sorted", evaluate_sorted)
+    to_real, read_real = bounds.to_real, bounds.read_real
+    for module in (bounds, koopman):
+        monkeypatch.setattr(module, "to_real", counted("to_real", to_real))
+        # a caller's real is read through read_real, one conversion each
+        monkeypatch.setattr(module, "read_real", counted("to_real", read_real))
+    # the weights' exp is libmp's, on raw values; every other exp or log
+    # is mpmath's
+    monkeypatch.setattr(koopman, "mpf_exp", counted("exp", koopman.mpf_exp))
+    monkeypatch.setattr(mpmath, "exp", counted("exp", mpmath.exp))
+    monkeypatch.setattr(mpmath, "log", counted("log", mpmath.log))
+    bound_report(S, *args)
+    return calls
+
+
+def spread_map(rng, pieces) -> PLHomeo:
+    """A map with `pieces` pieces: nodes about 10 apart, each moved by at
+    most 2, so Lip stays below 2 and every p >= 2 exceeds log L."""
+    xs = [10 * i + F(rng.randint(0, 8), 4) for i in range(pieces + 1)]
+    return PLHomeo(tuple((x, x + F(rng.randint(-8, 8), 4)) for x in xs))
+
+
 class TestOperationBudget:
-    """What one golden `bound` report costs, counted in calls, so that a
-    change doing more work fails on any machine."""
+    """What one `bound` report costs, counted in calls, so that a change
+    doing more work fails on any machine."""
 
     def test_random_8x40_report(self, monkeypatch):
         S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
-        calls = collections.Counter()
-
-        def counted(name, f):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return f(*args, **kwargs)
-
-            return wrapper
-
-        window = koopman.WindowMap
-        monkeypatch.setattr(window, "of", staticmethod(counted("of", window.of)))
-        monkeypatch.setattr(window, "cut", counted("cut", window.cut))
-        monkeypatch.setattr(window, "at", counted("at", window.at))
-        # every module that calls a name imported it into its own namespace
-        evaluate_sorted = counted("evaluate_sorted", plmap.evaluate_sorted)
-        for module in (plmap, koopman):
-            monkeypatch.setattr(module, "evaluate_sorted", evaluate_sorted)
-        to_real = bounds.to_real
-        for module in (bounds, koopman):
-            monkeypatch.setattr(module, "to_real", counted("to_real", to_real))
-        # the weights' exp is libmp's, on raw values; every other exp or log
-        # is mpmath's
-        monkeypatch.setattr(koopman, "mpf_exp", counted("exp", koopman.mpf_exp))
-        monkeypatch.setattr(mpmath, "exp", counted("exp", mpmath.exp))
-        monkeypatch.setattr(mpmath, "log", counted("log", mpmath.log))
-        bound_report(S)
+        calls = report_calls(monkeypatch, S)
         to_reals = calls.pop("to_real")
         assert calls == {
             "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "exp": 1560, "log": 319,
         }
         assert to_reals <= 545
+
+    @pytest.mark.parametrize(
+        "maps,pieces,p_list,schedule",
+        [
+            (1, 3, [2], [1]),
+            (2, 7, [3, 2], [F(1, 2), 4, 16]),
+            (3, 12, [2, 4, F(5, 2)], [1, 2, 3, 5, 8]),
+            (5, 20, [16, 2, 4, 8], [2**k for k in range(8)]),
+            (8, 37, [2, 3, 4, 8, 16, 64], [2**k for k in range(13)]),
+        ],
+    )
+    def test_costs_as_formulas(self, monkeypatch, maps, pieces, p_list, schedule):
+        # one WindowMap per map, one profile per (map, p) and one cut per
+        # (map, n); an exp per piece and p that is neither 1 nor 2, a log
+        # per piece, one log L per p other than 2 and one for phi_inv(L)
+        rng = random.Random(maps)
+        S = GeneratorSet("s", tuple((f"g{i}", spread_map(rng, pieces)) for i in range(maps)))
+        total = sum(len(g.nodes) - 1 for _, g in S.generators)
+        calls = report_calls(monkeypatch, S, p_list, schedule)
+        assert calls["of"] == maps
+        assert calls["at"] == maps * len(p_list)
+        assert calls["cut"] == maps * len(schedule)
+        assert calls["exp"] == total * sum(p not in (1, 2) for p in p_list)
+        assert calls["log"] == total + sum(p != 2 for p in p_list) + 1

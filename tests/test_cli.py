@@ -15,6 +15,7 @@ from kazhlip import GeneratorSet, PLHomeo
 from kazhlip.cli import _join_signed_values, main
 from kazhlip.precision import precision
 from kazhlip.figures import phi_branch_table, phi_inv_branch_table, render_svg
+from oracles import set_obj
 
 GOLDEN = Path(__file__).parent / "golden"
 # The commands that compute no reals, each with an input under GOLDEN
@@ -36,7 +37,7 @@ def translations_file(tmp_path):
         symmetric=True,
     )
     path = tmp_path / "group.json"
-    path.write_text(S.to_json())
+    path.write_text(json.dumps(set_obj(S)))
     return str(path)
 
 
@@ -45,7 +46,7 @@ def bump_pair_file(tmp_path):
     bump = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
     S = GeneratorSet("bump", (("b", bump), ("B", bump.invert())), symmetric=True)
     path = tmp_path / "bump.json"
-    path.write_text(S.to_json())
+    path.write_text(json.dumps(set_obj(S)))
     return str(path)
 
 
@@ -405,7 +406,7 @@ class TestLimitDiag:
         for k in range(1, 6):
             n = 2**k
             g = PLHomeo.from_pairs([(0, 1 + F(1, n)), (1, 2)])
-            stages.append(GeneratorSet(f"s{n}", (("g", g),)).to_obj())
+            stages.append(set_obj(GeneratorSet(f"s{n}", (("g", g),))))
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"labels": ["g"], "stages": stages}))
         code, out, _ = run(capsys, "limit-diag", str(path), "--words", "g,g g")

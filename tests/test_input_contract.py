@@ -1,14 +1,19 @@
-"""The input contract, fuzzed: the readers of JSON input raise only the
-package's own errors, and a `kazhlip` call ends with exit 0, 1, 2 or 3,
-never with a traceback or with `nan` printed under exit 0."""
+"""The input contract: the readers of JSON input raise only the package's
+own errors, and a `kazhlip` call ends with exit 0, 1, 2 or 3, never with a
+traceback or with `nan` printed under exit 0 (both fuzzed); and a library
+call given an argument it cannot read exactly, or as a real, raises
+DomainError naming the argument."""
 
 import contextlib
 import io
 import json
+import re
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from kazhlip import (
     ActionSequence,
@@ -17,8 +22,18 @@ from kazhlip import (
     PLHomeo,
     ResourceLimitError,
     SchemaError,
+    Word,
+    ball,
+    bound_report,
+    limit_translation_diagnostic,
+    log_power_bound_check,
+    lp_norm,
+    mazur_map,
+    phi,
 )
 from kazhlip.cli import main
+from kazhlip.figures import phi_branch_table
+from oracles import indicator
 
 CONTRACT = (SchemaError, DomainError, ResourceLimitError)
 
@@ -194,3 +209,105 @@ class TestCommandLine:
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert "nan" not in out.getvalue().lower(), argv
+
+
+BUMP = PLHomeo(((0, 0), (1, F(3, 2)), (2, 2)))
+BUMP_T = GeneratorSet("bump-translation", (("a", BUMP), ("t", PLHomeo.translation(1))))
+SEQUENCE = ActionSequence(("g",), (GeneratorSet("s", (("g", BUMP),)),))
+G = Word((("g", 1),))
+
+# Every entry point that reads an exact argument, by the name its error gives
+EXACT_ARGUMENTS = {
+    "from_pairs": ("nodes[1][0]", lambda v: PLHomeo.from_pairs([(0, 0), (v, 2), (3, 3)])),
+    "translation": ("c", PLHomeo.translation),
+    "evaluate": ("x", BUMP.evaluate),
+    "__call__": ("x", BUMP),
+    "slope_at": ("x", BUMP.slope_at),
+    "conjugate_by_homothety": ("alpha", BUMP.conjugate_by_homothety),
+    "bound_report": ("schedule[1]", lambda v: bound_report(BUMP_T, [2], [1, v])),
+    "limit_translation_diagnostic": (
+        "base", lambda v: limit_translation_diagnostic(SEQUENCE, [G], base=v)
+    ),
+}
+
+
+class TestExactArguments:
+    @pytest.mark.parametrize("value", [0.1, mpf(1), None, float("nan")], ids=repr)
+    @pytest.mark.parametrize("entry", EXACT_ARGUMENTS)
+    def test_inexact_value_named(self, entry, value):
+        name, call = EXACT_ARGUMENTS[entry]
+        with pytest.raises(DomainError) as err:
+            call(value)
+        assert str(err.value).startswith(f"{name}: expected an int or a Fraction")
+
+    def test_ints_and_fractions(self):
+        assert PLHomeo.translation(1).nodes == ((0, 1),)
+        assert PLHomeo.translation(F(-1, 2)).nodes == ((0, F(-1, 2)),)
+        assert [BUMP.evaluate(x) for x in (1, F(1, 2), -1, 3)] == [F(3, 2), F(3, 4), -1, 3]
+        assert BUMP(F(3, 2)) == F(7, 4)
+        assert [BUMP.slope_at(x) for x in (-1, 0, F(3, 2), 2)] == [1, F(3, 2), F(1, 2), 1]
+        assert BUMP.conjugate_by_homothety(2).nodes == ((0, 0), (F(1, 2), F(3, 4)), (1, 1))
+        assert BUMP.conjugate_by_homothety(F(1, 2)).nodes == ((0, 0), (2, 3), (4, 4))
+        ints = bound_report(BUMP_T, [2, 4], [1, 3])
+        assert ints.sweep == bound_report(BUMP_T, [2, 4], [F(1), F(3)]).sweep
+        assert limit_translation_diagnostic(SEQUENCE, [G], base=1) == limit_translation_diagnostic(
+            SEQUENCE, [G], base=F(1)
+        )
+
+    def test_from_pairs_keeps_int_coordinates(self):
+        g = PLHomeo.from_pairs([(0, 0), (1, F(3, 2)), (2, 2)])
+        assert g == BUMP
+        assert [type(c) for node in g.nodes for c in node] == [int, int, int, F, int, int]
+
+
+XI = indicator(0, 1, 2)
+
+
+class TestRealArguments:
+    """A real argument is read as an mpf; one that mpf cannot read, or a
+    nan or an infinity where a finite real is needed, raises DomainError
+    naming it."""
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: lp_norm(XI, "abc"), "p: expected a real"),
+            (lambda: lp_norm(XI, None), "p: expected a real"),
+            (lambda: mazur_map(XI, 2, "x"), "p: expected a real"),
+            (lambda: bound_report(BUMP_T, ["abc"]), "p: expected a real"),
+            (lambda: phi("abc"), "t: expected a real"),
+            (lambda: phi_branch_table("abc"), "start: expected a real"),
+            (lambda: phi_branch_table(0, "1.2", None), "step: expected a real"),
+        ],
+        ids=["lp_norm_text", "lp_norm_none", "mazur_map_text", "bound_report_text", "phi_text",
+             "table_text", "table_none"],
+    )
+    def test_unreadable_real(self, call, name):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value).startswith(name)
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((1, float("nan"), 2), "p"),
+            ((float("nan"), 4, 2), "x"),
+            ((1, 4, float("nan")), "L"),
+            ((1, float("inf"), 2), "p"),
+            ((1, 4, "abc"), "L"),
+        ],
+        ids=["p_nan", "x_nan", "L_nan", "p_inf", "L_text"],
+    )
+    def test_log_power_bound_check(self, args, name):
+        with pytest.raises(DomainError) as err:
+            log_power_bound_check(*args)
+        assert re.match(rf"{name}\b", str(err.value))
+
+    def test_log_power_bound_check_finite(self):
+        ok, slack = log_power_bound_check(1, 4, 2)
+        assert ok and slack > 0
+
+    @pytest.mark.parametrize("radius", [1.5, F(1), None, "2"], ids=repr)
+    def test_ball_radius(self, radius):
+        with pytest.raises(DomainError, match="^radius must be an int >= 0"):
+            ball(BUMP_T, radius)

@@ -212,8 +212,12 @@ class TestDistortion:
         )
         for name in names:
             monkeypatch.setattr(koopman, name, counted(name, getattr(koopman, name)))
-        to_real = koopman.to_real
+        to_real, read_real = koopman.to_real, koopman.read_real
         monkeypatch.setattr(koopman, "to_real", lambda x: converted.append(x) or to_real(x))
+        # a caller's real is read through read_real, one conversion each
+        monkeypatch.setattr(
+            koopman, "read_real", lambda x, name: converted.append(x) or read_real(x, name)
+        )
         rng = random.Random(5)
         g, xi = random_plhomeo(rng, max_nodes=20), random_step_function(rng, max_pieces=30)
         koopman_distortion(g, xi, 3)
@@ -412,7 +416,7 @@ class TestWindowDistortion:
     def test_int_nodes_exact(self):
         # Nodes given as plain ints give the window data of the same Fractions.
         raw = PLHomeo(((0, 0), (3, 1), (4, 4)))
-        frac = PLHomeo.from_pairs(raw.nodes)
+        frac = PLHomeo(((F(0), F(0)), (F(3), F(1)), (F(4), F(4))))
         inv_slopes = oracles.piece_slopes(tuple((y, x) for x, y in raw.nodes))
         assert WindowMap.of(raw) == WindowMap.of(frac)
         assert WindowMap.of(raw).slopes == tuple(to_real(s) for s in inv_slopes)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from kazhlip import (
     limit_translation_diagnostic,
     normalize_stage,
 )
+from oracles import set_obj
 
 G = Word((("g", 1),))
 
@@ -153,9 +155,8 @@ class TestLimitDiagnostic:
 
     def test_json_round_trip(self):
         seq = ActionSequence(("g",), tuple(stage(2**k) for k in range(1, 4)))
-        again = ActionSequence.from_json(
-            __import__("json").dumps(seq.to_obj())
-        )
+        obj = {"labels": list(seq.labels), "stages": [set_obj(s) for s in seq.stages]}
+        again = ActionSequence.from_json(json.dumps(obj))
         assert again == seq
 
 

@@ -115,7 +115,7 @@ def check_fixed_set(f):
     assert is_canonical(fs)
     ends = {e for c in fs.components for e in c if e is not None}
     pts = sorted({x for x, _ in f.nodes} | ends)
-    probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
+    probes = pts + [F(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
     for x in probes:
         assert contains(fs, x) == (f.evaluate(x) == x)
     gaps = [f.evaluate(x) - x for x in pts]
