@@ -26,12 +26,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpf_div, mpf_gt, mpf_pow
 
 # read at call time: `phi` and `phi-inv` run neither module
 from . import groupact, koopman
 from .errors import DomainError
 from .plmap import check_exact, format_rational
-from .precision import read_real, real_str, to_real
+from .precision import ROUNDING, read_real, real_str, to_real
 
 def kappa_max() -> mpf:
     return mpmath.sqrt(2)
@@ -202,10 +203,17 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
     p = koopman.check_exponent(p)
     inv_p = 1 / p
     profiles = [w.at(p) for w in windows]
+    prec, r, make = mpmath.mp.prec, inv_p._mpf_, mpmath.mp.make_mpf
     cells = []
     for n, nr, two_n, row in cuts:
-        top = max(pr.scaled_power(c) for pr, c in zip(profiles, row))
-        d = (top / two_n) ** inv_p
+        # on raw values, with the calls that max(...) and (top / two_n) **
+        # inv_p make on mpfs
+        top = None
+        for pr, c in zip(profiles, row):
+            power = pr.scaled_power(c)
+            if top is None or mpf_gt(power, top):
+                top = power
+        d = make(mpf_pow(mpf_div(top, two_n._mpf_, prec, ROUNDING), r, prec, ROUNDING))
         large = n > M
         bound = proof(n, nr) if large else None
         cells.append(SweepCell(p, n, d, _transfer(p, d), bound, large))

@@ -27,8 +27,8 @@ from typing import NamedTuple, Tuple
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
-    fone, fzero, from_rational, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pow,
-    mpf_rdiv_int, mpf_sub, mpf_sum,
+    fhalf, fone, fzero, from_rational, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+    mpf_neg, mpf_pow, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum,
 )
 
 from .errors import DomainError
@@ -36,10 +36,12 @@ from .plmap import PLHomeo, _slope_pairs, check_exact, evaluate_sorted, merge_so
 from .precision import ROUNDING, read_real, to_real
 
 
-def check_exponent(p) -> mpf:
-    p = read_real(p, "p")
+def check_exponent(p, name: str = "p") -> mpf:
+    """The Lebesgue exponent p as an mpf; the caller's argument `name` must
+    be a finite real >= 1."""
+    p = read_real(p, name)
     if not mpmath.isfinite(p) or p < 1:
-        raise DomainError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
+        raise DomainError(f"Lebesgue exponent must satisfy {name} >= 1, got {p}")
     return p
 
 
@@ -212,76 +214,119 @@ def window_vector(n, p) -> StepFunction:
 # Only w_j depends on p. WindowMap.of takes each log s_j, piece length and
 # the tails to reals once, so each p costs one exp and one power per piece.
 #
+# The window kernel runs as the Koopman operations do: on raw libmp values,
+# with the libmp call and the rounding that each mpf expression makes, and
+# every order decision on exact rationals is the sign of an integer
+# cross-product (see plmap). evaluate_sorted is its only evaluator, and a
+# cut builds no Fraction but the window's end -n and the values that
+# evaluate_sorted returns.
+#
 # The window classes are NamedTuples rather than dataclasses: every CLI
 # process imports this module, and a frozen dataclass takes about 1.5 ms
 # to build.
 
 
+def _meet(lo, hi, a, b):
+    """The ends of [lo, hi] cap [a, b]; each end is a rational as an
+    unreduced pair (num, den), den > 0."""
+    if a[0] * lo[1] > lo[0] * a[1]:
+        lo = a
+    if b[0] * hi[1] < hi[0] * b[1]:
+        hi = b
+    return lo, hi
+
+
+def _length(lo, hi):
+    """hi - lo as an unreduced pair, for ends as `_meet` gives them."""
+    return hi[0] * lo[1] - lo[0] * hi[1], lo[1] * hi[1]
+
+
 class WindowMap(NamedTuple):
     """The data of one map g that its window distortions depend on: exact
-    nodes, and the p-independent reals at the working precision."""
+    nodes, and the p-independent reals at the working precision, as raw
+    libmp values (`mpf._mpf_`)."""
 
     xs: Tuple[Fraction, ...]
     ys: Tuple[Fraction, ...]
-    slopes: Tuple[mpf, ...]           # s_j rounded to the working precision
-    log_slopes: Tuple[mpf, ...]       # log s_j, with 10 guard bits
-    lengths: Tuple[mpf, ...]          # y_{j+1} - y_j
-    tails: mpf                        # |y_0 - x_0| + |y_k - x_k|
+    slopes: Tuple[tuple, ...]         # s_j rounded to the working precision
+    log_slopes: Tuple[tuple, ...]     # log s_j, with 10 guard bits
+    lengths: Tuple[tuple, ...]        # y_{j+1} - y_j
+    tails: tuple                      # |y_0 - x_0| + |y_k - x_k|
     n0: Fraction                      # 2n d^p is constant for n >= n0
 
     @staticmethod
     def of(g: PLHomeo) -> "WindowMap":
         xs, ys = zip(*g.nodes)
+        prec = mpmath.mp.prec
         # g has the slope num/den on [x_j, x_{j+1}], so s_j = den/num,
         # rounded once
-        prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
         slopes = tuple(
-            make(from_rational(den, num, prec, ROUNDING))
-            for num, den in _slope_pairs(g.nodes)[1:-1]
+            from_rational(den, num, prec, ROUNDING) for num, den in _slope_pairs(g.nodes)[1:-1]
         )
-        # mpf ** takes its logarithm with 10 extra bits; so does this, and
-        # the weights in `at` keep the digits of s ** (1 / p).
-        with mpmath.extraprec(10):
-            log_slopes = tuple(mpmath.log(s) for s in slopes)
+        # mpf ** takes its logarithm with 10 extra bits, as mpmath.log does
+        # under extraprec(10); so does this, and the weights in `at` keep
+        # the digits of s ** (1 / p).
+        log_slopes = tuple(mpf_log(s, prec + 10, ROUNDING) for s in slopes)
+        # every length is an unreduced integer cross-product, rounded once
+        yr = [y.as_integer_ratio() for y in ys]
+        lengths = tuple(
+            from_rational(*_length(y0, y1), prec, ROUNDING) for y0, y1 in zip(yr, yr[1:])
+        )
+        # the tails |y_0 - x_0| + |y_k - x_k| = |a|/b + |c|/d, and N0 the
+        # largest |e|/f over the end nodes' coordinates
+        x0, xk = xs[0].as_integer_ratio(), xs[-1].as_integer_ratio()
+        (a, b), (c, d) = _length(x0, yr[0]), _length(xk, yr[-1])
+        n0 = (0, 1)
+        for e, f in (x0, xk, yr[0], yr[-1]):
+            if abs(e) * n0[1] > n0[0] * f:
+                n0 = (abs(e), f)
         return WindowMap(
             xs=xs,
             ys=ys,
             slopes=slopes,
             log_slopes=log_slopes,
-            lengths=tuple(to_real(y1 - y0) for y0, y1 in zip(ys, ys[1:])),
-            tails=to_real(abs(ys[0] - xs[0]) + abs(ys[-1] - xs[-1])),
-            n0=max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])),
+            lengths=lengths,
+            tails=from_rational(abs(a) * d + abs(c) * b, b * d, prec, ROUNDING),
+            n0=Fraction(*n0),
         )
 
     def cut(self, n: Fraction) -> "WindowCut":
         """How the window [-n, n], n > 0, meets the map: two bisections
         of the y_j, whatever the number of pieces."""
-        if n >= self.n0:
+        p, q = n.as_integer_ratio()
+        u, v = self.n0.as_integer_ratio()
+        if p * v >= u * q:
             return WindowCut(covers_nodes=True)
-        xs, ys = self.xs, self.ys
-        g_lo, g_hi = evaluate_sorted(xs, ys, (-n, n))
-        lo, hi = max(g_lo, -n), min(g_hi, n)
-        if lo >= hi:
-            return WindowCut(covers_nodes=False, exact=to_real(4 * n))
-        inv_lo, inv_hi = evaluate_sorted(ys, xs, (-n, n))
-        preimage = min(inv_hi, n) - max(inv_lo, -n)
+        xs, ys, prec = self.xs, self.ys, mpmath.mp.prec
+        window = (-n, n)
+        ends = (-p, q), (p, q)
+        g_lo, g_hi = evaluate_sorted(xs, ys, window)
+        lo, hi = _meet(g_lo.as_integer_ratio(), g_hi.as_integer_ratio(), *ends)
+        (ln, ld), (hn, hd) = lo, hi
+        if ln * hd >= hn * ld:
+            return WindowCut(covers_nodes=False, exact=from_rational(4 * p, q, prec, ROUNDING))
+        inv_lo, inv_hi = evaluate_sorted(ys, xs, window)
+        # 4n - |O| - |g^{-1}(O)|, where g^{-1}(O) = [-n, n] cap g^{-1}[-n, n]
+        (s, t), (e, f) = _length(lo, hi), _length(
+            *_meet(inv_lo.as_integer_ratio(), inv_hi.as_integer_ratio(), *ends)
+        )
+        exact = from_rational((4 * p * t - s * q) * f - e * q * t, q * t * f, prec, ROUNDING)
         # the pieces [y_j, y_{j+1}] inside O are those with a <= j < b; only
         # piece a - 1, which holds lo, and piece b, which holds hi, can be
         # cut short, and they may be one piece
-        a, b = bisect_left(ys, lo), bisect_right(ys, hi) - 1
+        a = bisect_left(ys, True, key=lambda y: y.numerator * ld >= ln * y.denominator)
+        b = bisect_right(ys, False, key=lambda y: y.numerator * hd > hn * y.denominator) - 1
         cut_short = []
-        if 0 < a < len(ys) and lo < ys[a]:
+        if 0 < a < len(ys) and ln * ys[a].denominator < ys[a].numerator * ld:
             cut_short.append(a - 1)
-        if 0 <= b < len(ys) - 1 and ys[b] < hi and b != a - 1:
+        if 0 <= b < len(ys) - 1 and ys[b].numerator * hd < hn * ys[b].denominator and b != a - 1:
             cut_short.append(b)
-        return WindowCut(
-            covers_nodes=False,
-            exact=to_real(4 * n - (hi - lo) - preimage),
-            full=range(a, b),
-            partial=tuple(
-                (j, to_real(min(ys[j + 1], hi) - max(ys[j], lo))) for j in cut_short
-            ),
-        )
+        partial = []
+        for j in cut_short:
+            y0, y1 = ys[j].as_integer_ratio(), ys[j + 1].as_integer_ratio()
+            length = _length(*_meet(y0, y1, lo, hi))
+            partial.append((j, from_rational(*length, prec, ROUNDING)))
+        return WindowCut(covers_nodes=False, exact=exact, full=range(a, b), partial=tuple(partial))
 
     def at(self, p) -> "WindowProfile":
         """The per-piece weights and the constant K at exponent p. The
@@ -289,69 +334,71 @@ class WindowMap(NamedTuple):
         rounding of the mpf expressions |s^{1/p} - 1|^p, w_j (y_{j+1} - y_j)
         and tails + fsum(masses), so it gives their bits. p is a real that
         check_exponent returned."""
-        prec = mpmath.mp.prec
-        r = 1 / p
-        if r == 1 or r == 0.5:
-            # mpf ** needs no logarithm here (a power, a square root)
-            roots = [(s ** r)._mpf_ for s in self.slopes]
+        prec, q = mpmath.mp.prec, p._mpf_
+        r = mpf_rdiv_int(1, q, prec, ROUNDING)  # 1 / p
+        # mpf ** needs no logarithm at 1 / p = 1 (s itself) or 1/2 (a
+        # square root)
+        if r == fone:
+            roots = self.slopes
+        elif r == fhalf:
+            roots = [mpf_sqrt(s, prec, ROUNDING) for s in self.slopes]
         else:
-            r = r._mpf_  # r log s_j is exact, as mpmath.fmul(..., exact=True)
-            roots = [mpf_exp(mpf_mul(r, c._mpf_), prec, ROUNDING) for c in self.log_slopes]
+            # r log s_j is exact, as mpmath.fmul(..., exact=True)
+            roots = [mpf_exp(mpf_mul(r, c), prec, ROUNDING) for c in self.log_slopes]
         # mpf_pow takes the integer power that mpf ** p takes when p is an
         # integer
-        q = p._mpf_
         weights = tuple(
             mpf_pow(mpf_abs(mpf_sub(x, fone, prec, ROUNDING)), q, prec, ROUNDING) for x in roots
         )
         masses = tuple(
-            mpf_mul(w, length._mpf_, prec, ROUNDING) for w, length in zip(weights, self.lengths)
+            mpf_mul(w, length, prec, ROUNDING) for w, length in zip(weights, self.lengths)
         )
         # mpf_sum is the exact sum, rounded once, that mpmath.fsum takes
-        constant = mpf_add(self.tails._mpf_, mpf_sum(masses, prec, ROUNDING), prec, ROUNDING)
-        return WindowProfile(weights, masses, mpmath.mp.make_mpf(constant))
+        constant = mpf_add(self.tails, mpf_sum(masses, prec, ROUNDING), prec, ROUNDING)
+        return WindowProfile(weights, masses, constant)
 
 
 class WindowCut(NamedTuple):
     """How one window [-n, n] meets one map: the exact part
     4n - |O| - |g^{-1}(O)|, the pieces [y_j, y_{j+1}] inside O and the
-    lengths of those that O cuts short. None of this is needed once the
-    window covers every node (n >= N0)."""
+    lengths of those that O cuts short, as raw libmp values. None of this
+    is needed once the window covers every node (n >= N0)."""
 
     covers_nodes: bool
-    exact: mpf = mpf(0)
+    exact: tuple = fzero
     full: range = range(0)
-    partial: Tuple[Tuple[int, mpf], ...] = ()
+    partial: Tuple[Tuple[int, tuple], ...] = ()
 
 
 class WindowProfile(NamedTuple):
-    """One map's window data at one exponent p. The weights and masses are
-    raw libmp values (`mpf._mpf_`) at the working precision."""
+    """One map's window data at one exponent p, as raw libmp values
+    (`mpf._mpf_`) at the working precision."""
 
     weights: Tuple[tuple, ...]  # w_j
     masses: Tuple[tuple, ...]   # w_j (y_{j+1} - y_j)
-    constant: mpf               # K
+    constant: tuple             # K
 
-    def scaled_power(self, cut: WindowCut) -> mpf:
-        """2n ||pi(g) xi_n - xi_n||_p^p for the window that `cut` describes."""
+    def scaled_power(self, cut: WindowCut) -> tuple:
+        """2n ||pi(g) xi_n - xi_n||_p^p for the window that `cut` describes,
+        as a raw libmp value."""
         if cut.covers_nodes:
             return self.constant
         # Summed piece by piece rather than as a difference of prefix sums:
         # at large p the weights span hundreds of orders of magnitude, and
         # heavy pieces outside O would cancel the light ones inside.
         prec, masses, weights = mpmath.mp.prec, self.masses, self.weights
-        total = cut.exact._mpf_
+        total = cut.exact
         for j in cut.full:
             total = mpf_add(total, masses[j], prec, ROUNDING)
         for j, length in cut.partial:
-            part = mpf_mul(weights[j], length._mpf_, prec, ROUNDING)
-            total = mpf_add(total, part, prec, ROUNDING)
-        return mpmath.mp.make_mpf(total)
+            total = mpf_add(total, mpf_mul(weights[j], length, prec, ROUNDING), prec, ROUNDING)
+        return total
 
 
 def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     """Per-piece signed power v -> sign(v) |v|^{q/p}; maps the unit sphere
     of L^q onto the unit sphere of L^p."""
-    q = check_exponent(q)
+    q = check_exponent(q, "q")
     prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
     r = mpf_div(q._mpf_, check_exponent(p)._mpf_, prec, ROUNDING)
     out = []

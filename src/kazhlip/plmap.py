@@ -243,6 +243,23 @@ def evaluate_sorted(xs: Sequence, ys: Sequence, points: Iterable) -> list:
     return out
 
 
+def _shifted(coords: Sequence, c, sign: int = 1) -> list:
+    """x + sign * c for each coordinate x, with sign 1 or -1: an int when x
+    and c are ints, and otherwise one Fraction(num, den) of integer
+    cross-products."""
+    u, v = c.as_integer_ratio()
+    u *= sign
+    ints = type(c) is int
+    out = []
+    for x in coords:
+        if ints and type(x) is int:
+            out.append(x + u)
+        else:
+            a, b = x.as_integer_ratio()
+            out.append(Fraction(a * v + u * b, b * v))
+    return out
+
+
 @dataclass(frozen=True)
 class PLHomeo:
     """An element of the bounded-displacement PL homeomorphism group."""
@@ -303,18 +320,16 @@ class PLHomeo:
     def compose(self, other: "PLHomeo") -> "PLHomeo":
         """self after other: (self.compose(other))(x) = self(other(x))."""
         f, g = self.nodes, other.nodes
+        fx, fy = zip(*f)
+        gx, gy = zip(*g)
         # A canonical map with one node is the translation (0, c); composing
         # with it shifts the other map's nodes and keeps every slope.
         if len(g) == 1:
-            c = g[0][1]
             if len(f) == 1:
-                return PLHomeo._canonical(((g[0][0], f[0][1] + c),))
-            return PLHomeo._canonical(tuple((x - c, y) for x, y in f))
+                return PLHomeo._canonical(((gx[0], *_shifted(fy, gy[0])),))
+            return PLHomeo._canonical(tuple(zip(_shifted(fx, gy[0], -1), fy)))
         if len(f) == 1:
-            c = f[0][1]
-            return PLHomeo._canonical(tuple((x, y + c) for x, y in g))
-        fx, fy = zip(*f)
-        gx, gy = zip(*g)
+            return PLHomeo._canonical(tuple(zip(gx, _shifted(gy, fy[0]))))
         # f o g can bend only at g's nodes, where it takes the values f(gy),
         # and at the preimages under g of f's nodes, where it takes fy. Both
         # lists increase, so one merge orders them, and on a shared x keeps

@@ -195,6 +195,9 @@ def normalize(xi: StepFunction, p) -> StepFunction:
 # The window estimator's per-piece loops as mpf expressions. The library
 # runs them on raw libmp values and finds the pieces inside a window by
 # bisection; these are the references it must agree with, bit for bit.
+# The window classes hold raw values, which these read and build through mpf.
+
+_make = mpmath.mp.make_mpf
 
 
 def window_cut(wm, n) -> WindowCut:
@@ -205,7 +208,7 @@ def window_cut(wm, n) -> WindowCut:
     g_lo, g_hi = evaluate_sorted(xs, ys, (-n, n))
     lo, hi = max(g_lo, -n), min(g_hi, n)
     if lo >= hi:
-        return WindowCut(covers_nodes=False, exact=to_real(4 * n))
+        return WindowCut(covers_nodes=False, exact=to_real(4 * n)._mpf_)
     inv_lo, inv_hi = evaluate_sorted(ys, xs, (-n, n))
     preimage = min(inv_hi, n) - max(inv_lo, -n)
     full, partial = [], []
@@ -215,11 +218,11 @@ def window_cut(wm, n) -> WindowCut:
         if (a, b) == (ys[j], ys[j + 1]):
             full.append(j)
         elif a < b:
-            partial.append((j, to_real(b - a)))
+            partial.append((j, to_real(b - a)._mpf_))
         j += 1
     return WindowCut(
         covers_nodes=False,
-        exact=to_real(4 * n - (hi - lo) - preimage),
+        exact=to_real(4 * n - (hi - lo) - preimage)._mpf_,
         full=range(full[0], full[-1] + 1) if full else range(0),
         partial=tuple(partial),
     )
@@ -230,12 +233,12 @@ def window_profile(wm, p):
     p = to_real(p)
     r = 1 / p
     if r == 1 or r == 0.5:
-        roots = [s ** r for s in wm.slopes]
+        roots = [_make(s) ** r for s in wm.slopes]
     else:
-        roots = [mpmath.exp(mpmath.fmul(r, c, exact=True)) for c in wm.log_slopes]
+        roots = [mpmath.exp(mpmath.fmul(r, _make(c), exact=True)) for c in wm.log_slopes]
     weights = tuple(abs(x - 1) ** p for x in roots)
-    masses = tuple(w * length for w, length in zip(weights, wm.lengths))
-    return weights, masses, wm.tails + mpmath.fsum(masses)
+    masses = tuple(w * _make(length) for w, length in zip(weights, wm.lengths))
+    return weights, masses, _make(wm.tails) + mpmath.fsum(masses)
 
 
 def scaled_power(profile, cut: WindowCut) -> mpf:
@@ -244,9 +247,9 @@ def scaled_power(profile, cut: WindowCut) -> mpf:
     weights, masses, constant = profile
     if cut.covers_nodes:
         return constant
-    total = cut.exact
+    total = _make(cut.exact)
     for j in cut.full:
         total += masses[j]
     for j, length in cut.partial:
-        total += weights[j] * length
+        total += weights[j] * _make(length)
     return total

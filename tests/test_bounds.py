@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -392,6 +393,32 @@ class TestBoundReport:
         assert bound_report(S).to_json() == bound_report(S).to_json()
 
 
+class TestHomothetyInvariance:
+    """Conjugating every generator by x -> alpha x and dividing the schedule
+    by alpha leaves each d_{p,n} unchanged. For alpha a power of 2 it
+    scales every exact length, and so every rounded one, by a power of 2,
+    so each cell keeps its bits; a cut that rounded a length it should not
+    would change some."""
+
+    @pytest.mark.parametrize("alpha", [2, 4, F(1, 2)], ids=str)
+    def test_random_8x40_cells(self, alpha):
+        S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
+        scaled = GeneratorSet(
+            S.name, tuple((label, g.conjugate_by_homothety(alpha)) for label, g in S.generators)
+        )
+        schedule = default_n_schedule(S.max_displacement())
+        want = bound_report(S, None, schedule).sweep
+        got = bound_report(scaled, None, [n / alpha for n in schedule]).sweep
+
+        def bits(cell):
+            reals = (cell.p, cell.distortion, cell.kappa_upper, cell.proof_bound)
+            return tuple(None if x is None else x._mpf_ for x in reals)
+
+        assert len(got) == len(want) == 78
+        assert [c.n for c in got] == [c.n / alpha for c in want]
+        assert [bits(c) for c in got] == [bits(c) for c in want]
+
+
 def report_calls(monkeypatch, S, *args) -> collections.Counter:
     """The calls that bound_report(S, *args) makes to the window layer,
     evaluate_sorted, to_real, and exp and log."""
@@ -417,9 +444,10 @@ def report_calls(monkeypatch, S, *args) -> collections.Counter:
         monkeypatch.setattr(module, "to_real", counted("to_real", to_real))
         # a caller's real is read through read_real, one conversion each
         monkeypatch.setattr(module, "read_real", counted("to_real", read_real))
-    # the weights' exp is libmp's, on raw values; every other exp or log
-    # is mpmath's
+    # the window kernel's exp and log are libmp's, on raw values; every
+    # other exp or log is mpmath's
     monkeypatch.setattr(koopman, "mpf_exp", counted("exp", koopman.mpf_exp))
+    monkeypatch.setattr(koopman, "mpf_log", counted("log", koopman.mpf_log))
     monkeypatch.setattr(mpmath, "exp", counted("exp", mpmath.exp))
     monkeypatch.setattr(mpmath, "log", counted("log", mpmath.log))
     bound_report(S, *args)
@@ -444,7 +472,28 @@ class TestOperationBudget:
         assert calls == {
             "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "exp": 1560, "log": 319,
         }
-        assert to_reals <= 545
+        assert to_reals <= 63
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="fractions compares its values differently in other versions",
+    )
+    def test_random_8x40_fraction_comparisons(self, monkeypatch):
+        # the window kernel orders on integers; what is left is the global
+        # fixed set's intersection, the checks of n > M and of the schedule
+        # entries, and L and M
+        S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
+        calls = collections.Counter()
+        for name in ("_richcmp", "__eq__"):
+            method = getattr(F, name)
+
+            def counted(*args, method=method):
+                calls["compare"] += 1
+                return method(*args)
+
+            monkeypatch.setattr(F, name, counted)
+        bound_report(S)
+        assert calls["compare"] <= 263
 
     @pytest.mark.parametrize(
         "maps,pieces,p_list,schedule",
@@ -463,9 +512,18 @@ class TestOperationBudget:
         rng = random.Random(maps)
         S = GeneratorSet("s", tuple((f"g{i}", spread_map(rng, pieces)) for i in range(maps)))
         total = sum(len(g.nodes) - 1 for _, g in S.generators)
+        # the cut of a window n < N0(g) evaluates g at -n and n, and g^{-1}
+        # too when the window meets its image; from N0 on it evaluates none
+        evaluations = 0
+        for _, g in S.generators:
+            n0 = max(abs(v) for node in g.nodes for v in node)
+            for n in schedule:
+                if n < n0:
+                    evaluations += 2 if max(g(-n), -n) < min(g(n), n) else 1
         calls = report_calls(monkeypatch, S, p_list, schedule)
         assert calls["of"] == maps
         assert calls["at"] == maps * len(p_list)
         assert calls["cut"] == maps * len(schedule)
+        assert calls["evaluate_sorted"] == evaluations
         assert calls["exp"] == total * sum(p not in (1, 2) for p in p_list)
         assert calls["log"] == total + sum(p != 2 for p in p_list) + 1

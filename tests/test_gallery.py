@@ -35,6 +35,8 @@ def inverse(text: str) -> str:
 # The Fraction methods behind every comparison (<, <=, >, >=), equality
 # test and hash; a Fraction rich comparison goes through _richcmp.
 FRACTION_ORDER = ("_richcmp", "__eq__", "__hash__")
+# The Fraction methods behind a + b and a - b, with a Fraction on either side.
+FRACTION_SUMS = ("__add__", "__radd__", "__sub__", "__rsub__")
 
 
 def counted(calls, name, f):
@@ -48,15 +50,15 @@ def counted(calls, name, f):
 @pytest.fixture(scope="module")
 def f_ball():
     """ball(F, 8), and the compose calls, word reductions, Fraction
-    constructions and Fraction comparisons, equality tests and hashes it
-    took."""
+    constructions, Fraction sums and differences, and Fraction comparisons,
+    equality tests and hashes it took."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PLHomeo, "compose", counted(calls, "compose", PLHomeo.compose))
         reduce = groupact.reduce_letters
         mp.setattr(groupact, "reduce_letters", counted(calls, "reduce_letters", reduce))
         mp.setattr(F, "__new__", counted(calls, "Fraction", F.__new__))
-        for name in FRACTION_ORDER:
+        for name in FRACTION_ORDER + FRACTION_SUMS:
             mp.setattr(F, name, counted(calls, name, getattr(F, name)))
         elems = ball(THOMPSON_F, 8)
     return elems, calls
@@ -124,6 +126,14 @@ class TestThompsonF:
         # integer cross-products and int tuples, never a Fraction
         _, calls = f_ball
         assert {name: calls[name] for name in FRACTION_ORDER} == dict.fromkeys(FRACTION_ORDER, 0)
+
+    @CPYTHON_311
+    def test_ball_shifts_on_integers(self, f_ball):
+        # composing with a translation shifts each node by one
+        # Fraction(num, den) of integer cross-products, with no Fraction
+        # sum or difference
+        _, calls = f_ball
+        assert {name: calls[name] for name in FRACTION_SUMS} == dict.fromkeys(FRACTION_SUMS, 0)
 
 
 class TestCommutingBumps:

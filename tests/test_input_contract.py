@@ -274,18 +274,26 @@ class TestRealArguments:
             (lambda: lp_norm(XI, "abc"), "p: expected a real"),
             (lambda: lp_norm(XI, None), "p: expected a real"),
             (lambda: mazur_map(XI, 2, "x"), "p: expected a real"),
+            (lambda: mazur_map(XI, "x", 2), "q: expected a real"),
             (lambda: bound_report(BUMP_T, ["abc"]), "p: expected a real"),
             (lambda: phi("abc"), "t: expected a real"),
             (lambda: phi_branch_table("abc"), "start: expected a real"),
             (lambda: phi_branch_table(0, "1.2", None), "step: expected a real"),
         ],
-        ids=["lp_norm_text", "lp_norm_none", "mazur_map_text", "bound_report_text", "phi_text",
-             "table_text", "table_none"],
+        ids=["lp_norm_text", "lp_norm_none", "mazur_map_text", "mazur_map_q_text",
+             "bound_report_text", "phi_text", "table_text", "table_none"],
     )
     def test_unreadable_real(self, call, name):
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value).startswith(name)
+
+    @pytest.mark.parametrize(
+        "q,p,name", [(float("nan"), 2, "q"), (2, float("nan"), "p")], ids=["q_nan", "p_nan"]
+    )
+    def test_mazur_map_exponent_out_of_range(self, q, p, name):
+        with pytest.raises(DomainError, match=rf"must satisfy {name} >= 1, got nan$"):
+            mazur_map(XI, q, p)
 
     @pytest.mark.parametrize(
         "args,name",

@@ -419,6 +419,22 @@ class TestCompose:
         assert F(11, 3) in coords
         assert all(isinstance(c, (int, F)) for c in coords)
 
+    @given(any_plhomeos, st.one_of(st.integers(-50, 50), rationals))
+    def test_translation_shifts_nodes(self, f, c):
+        # composing with a translation by c gives the nodes (x - c, y) or
+        # (x, y + c), of the types that Python's own - and + give: an int
+        # shifted by an int stays an int
+        t = PLHomeo.translation(c)
+        if len(f.nodes) == 1:
+            wants = [((F(0), f.nodes[0][1] + c),)] * 2
+        else:
+            wants = [tuple((x - c, y) for x, y in f.nodes), tuple((x, y + c) for x, y in f.nodes)]
+        for h, want in zip((f.compose(t), t.compose(f)), wants):
+            assert h.nodes == want
+            assert [type(v) for node in h.nodes for v in node] == [
+                type(v) for node in want for v in node
+            ]
+
     @given(plhomeos(), plhomeos(), rationals)
     @settings(max_examples=60)
     def test_pointwise(self, f, g, x):
