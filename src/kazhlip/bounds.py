@@ -31,6 +31,7 @@ from mpmath.libmp import mpf_div, mpf_gt, mpf_pow
 # read at call time: `phi` and `phi-inv` run neither module
 from . import groupact, koopman
 from .errors import DomainError
+from .intervals import _less
 from .plmap import check_exact, format_rational
 from .precision import ROUNDING, read_real, real_str, to_real
 
@@ -214,7 +215,7 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
             if top is None or mpf_gt(power, top):
                 top = power
         d = make(mpf_pow(mpf_div(top, two_n._mpf_, prec, ROUNDING), r, prec, ROUNDING))
-        large = n > M
+        large = _less(M, n)  # n > M, on integers
         bound = proof(n, nr) if large else None
         cells.append(SweepCell(p, n, d, _transfer(p, d), bound, large))
     return cells

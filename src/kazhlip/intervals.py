@@ -14,6 +14,12 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 
+def _less(q, r) -> bool:
+    """q < r for ints or Fractions, by the sign of an integer
+    cross-product (denominators are positive)."""
+    return q.numerator * r.denominator < r.numerator * q.denominator
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Sorted, disjoint, non-adjacent closed intervals."""
@@ -32,28 +38,22 @@ class IntervalUnion:
         """One merge of the two sorted component lists. Each piece of the
         result lies in one component of each union, and two consecutive
         pieces differ in at least one, so a gap of that union separates
-        them: the pieces are already sorted, disjoint and non-adjacent."""
+        them: the pieces are already sorted, disjoint and non-adjacent.
+
+        Endpoints are ordered by the sign of an integer cross-product,
+        never as Fractions; on a tie the endpoint of this union is kept."""
         a, b = self.components, other.components
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
             (alo, ahi), (blo, bhi) = a[i], b[j]
-            if alo is None:
-                lo = blo
-            elif blo is None:
-                lo = alo
-            else:
-                lo = max(alo, blo)
-            if ahi is None:
-                hi = bhi
-            elif bhi is None:
-                hi = ahi
-            else:
-                hi = min(ahi, bhi)
-            if lo is None or hi is None or lo <= hi:
+            # the larger left end and the smaller right end
+            lo = alo if blo is None or (alo is not None and not _less(alo, blo)) else blo
+            hi = ahi if bhi is None or (ahi is not None and not _less(bhi, ahi)) else bhi
+            if lo is None or hi is None or not _less(hi, lo):
                 out.append((lo, hi))
             # the component that ends first meets nothing further on
-            if ahi is None or (bhi is not None and bhi < ahi):
+            if ahi is None or (bhi is not None and _less(bhi, ahi)):
                 j += 1
             else:
                 i += 1

@@ -28,7 +28,7 @@ from .koopman import (
     subtract,
     window_vector,
 )
-from .plmap import PLHomeo
+from .plmap import PLHomeo, _drop_collinear, _slope_pairs
 from .precision import to_real
 
 DEFAULT_SEED = 20240811
@@ -44,24 +44,43 @@ def random_rational(rng: random.Random, max_mag: int = 1000) -> Fraction:
     return Fraction(rng.randint(-max_mag, max_mag), rng.randint(1, max_mag))
 
 
+def _distinct_rationals(
+    rng: random.Random, count: int, max_mag: int, at_least: int
+) -> List[Fraction]:
+    """The distinct values of `count` draws of random_rational(rng,
+    max_mag), topped up one draw at a time until there are `at_least` of
+    them, in increasing order.
+
+    Two different values with denominators at most m = max_mag differ by at
+    least 1/m^2, so a * m^2 // b tells the draws a/b apart and orders them:
+    the draws are keyed and sorted on ints, and one Fraction is built per
+    value."""
+    # rng.randint(a, b) is rng.randrange(a, b + 1): the same draws
+    randrange, scale = rng.randrange, max_mag * max_mag
+    drawn = {}
+    while count > 0 or len(drawn) < at_least:
+        count -= 1
+        a, b = randrange(-max_mag, max_mag + 1), randrange(1, max_mag + 1)
+        drawn.setdefault(a * scale // b, (a, b))
+    return [Fraction(*drawn[key]) for key in sorted(drawn)]
+
+
 def random_plhomeo(
     rng: random.Random, max_nodes: int = 8, max_mag: int = 1000
 ) -> PLHomeo:
     k = rng.randint(1, max_nodes)
-    xs = sorted({random_rational(rng, max_mag) for _ in range(k)})
-    ys = sorted({random_rational(rng, max_mag) for _ in range(len(xs))})
-    while len(ys) < len(xs):
-        ys = sorted(set(ys) | {random_rational(rng, max_mag)})
-    return PLHomeo(tuple(zip(xs, ys[: len(xs)])))
+    xs = _distinct_rationals(rng, k, max_mag, 1)
+    ys = _distinct_rationals(rng, len(xs), max_mag, len(xs))
+    # both coordinate lists increase strictly: only collinear nodes go
+    nodes = tuple(zip(xs, ys))
+    return PLHomeo._canonical(_drop_collinear(nodes, _slope_pairs(nodes)))
 
 
 def random_step_function(
     rng: random.Random, max_pieces: int = 6, max_mag: int = 50
 ) -> StepFunction:
     k = rng.randint(1, max_pieces)
-    bps = sorted({random_rational(rng, max_mag) for _ in range(k + 1)})
-    while len(bps) < 2:
-        bps = sorted(set(bps) | {random_rational(rng, max_mag)})
+    bps = _distinct_rationals(rng, k + 1, max_mag, 2)
     values = []
     for _ in range(len(bps) - 1):
         v = rng.uniform(-5, 5)
@@ -90,13 +109,14 @@ def suite_group_axioms(cases: int = 1000, seed: int = DEFAULT_SEED) -> List[Suit
         f = random_plhomeo(rng)
         g = random_plhomeo(rng)
         h = random_plhomeo(rng)
+        f_inv = f.invert()
         if (f.compose(g)).compose(h) != f.compose(g.compose(h)):
             fails_assoc += 1
-        if f.compose(f.invert()) != ident or f.invert().compose(f) != ident:
+        if f.compose(f_inv) != ident or f_inv.compose(f) != ident:
             fails_inv += 1
         if f.compose(ident) != f or ident.compose(f) != f:
             fails_ident += 1
-        if f.invert().lip_constant() != f.lip_constant():
+        if f_inv.lip_constant() != f.lip_constant():
             fails_lip += 1
     return [
         ("associativity", cases, fails_assoc, None),

@@ -1,8 +1,9 @@
 """Oracles that live with the tests: pointwise reads of step functions
 and fixed sets, slopes as Fractions, fixed sets sorted and merged from an
 unordered scan, inner products and the input-file form of a generator set,
-which the library never needs; and the Koopman operations and the window
-estimator's loops in their plain mpf form."""
+which the library never needs; the Koopman operations and the window
+estimator's loops in their plain mpf form; and the seeded generators of
+kazhlip.verify as sorted sets of Fractions."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -10,10 +11,11 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from kazhlip import IntervalUnion, StepFunction
+from kazhlip import IntervalUnion, PLHomeo, StepFunction
 from kazhlip.koopman import WindowCut, check_exponent, refine
 from kazhlip.plmap import evaluate_sorted, format_rational
 from kazhlip.precision import to_real
+from kazhlip.verify import random_rational
 
 
 def indicator(a, b, value=1) -> StepFunction:
@@ -253,3 +255,31 @@ def scaled_power(profile, cut: WindowCut) -> mpf:
     for j, length in cut.partial:
         total += weights[j] * _make(length)
     return total
+
+
+# The seeded generators as sorted sets of Fractions, the map validated by
+# PLHomeo's constructor. kazhlip.verify keys its draws on ints and builds
+# the map as canonical; it must make the same draws and the same results.
+
+
+def random_plhomeo(rng, max_nodes=8, max_mag=1000) -> PLHomeo:
+    k = rng.randint(1, max_nodes)
+    xs = sorted({random_rational(rng, max_mag) for _ in range(k)})
+    ys = sorted({random_rational(rng, max_mag) for _ in range(len(xs))})
+    while len(ys) < len(xs):
+        ys = sorted(set(ys) | {random_rational(rng, max_mag)})
+    return PLHomeo(tuple(zip(xs, ys[: len(xs)])))
+
+
+def random_step_function(rng, max_pieces=6, max_mag=50) -> StepFunction:
+    k = rng.randint(1, max_pieces)
+    bps = sorted({random_rational(rng, max_mag) for _ in range(k + 1)})
+    while len(bps) < 2:
+        bps = sorted(set(bps) | {random_rational(rng, max_mag)})
+    values = []
+    for _ in range(len(bps) - 1):
+        v = rng.uniform(-5, 5)
+        if abs(v) < 0.1:
+            v = 0.5
+        values.append(mpf(repr(v)))
+    return StepFunction(tuple(bps), tuple(values))

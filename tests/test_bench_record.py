@@ -78,3 +78,59 @@ def test_no_common_run_exits_1(tmp_path):
     write_result(tmp_path / "change", 2, "bbb", ops_per_s=1.0, p50=1.0)
     assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                               "--pr", "1", "--out", str(tmp_path / "out.json")]) == 1
+
+
+def ops_verdict(tmp_path, parent_ops, change_ops):
+    """The ops_per_s verdict of pairs with these values, seed by seed."""
+    for seed, (p, c) in enumerate(zip(parent_ops, change_ops), 1):
+        write_result(tmp_path / "parent", seed, "aaa", ops_per_s=p, p50=1.0)
+        write_result(tmp_path / "change", seed, "bbb", ops_per_s=c, p50=1.0)
+    out = tmp_path / "out.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                              "--pr", "1", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["exact-group"]["metrics"]
+    # equal runs on both sides: no other metric moves
+    assert {m["verdict"] for name, m in metrics.items() if name != "ops_per_s"} == {"same"}
+    return metrics["ops_per_s"]["verdict"]
+
+
+PARENT = [100.0, 104.0, 98.0, 102.0, 101.0, 99.0, 103.0, 97.0, 100.5, 101.5]  # q3 - q1 = 3
+
+
+def test_verdict_gain(tmp_path):
+    # 9 of 10 pairs won, the median up by 10, more than q3 - q1 = 3
+    change = [p + 10 for p in PARENT[:9]] + [90.0]
+    assert ops_verdict(tmp_path, PARENT, change) == "gain"
+
+
+def test_verdict_no_gain_on_8_of_10_pairs(tmp_path):
+    change = [p + 10 for p in PARENT[:8]] + [90.0, 90.0]
+    assert ops_verdict(tmp_path, PARENT, change) == "same"
+
+
+def test_verdict_no_gain_inside_the_spread(tmp_path):
+    # every pair won, but the median moves by 2 < q3 - q1
+    assert ops_verdict(tmp_path, PARENT, [p + 2 for p in PARENT]) == "same"
+
+
+def test_verdict_worse(tmp_path):
+    # the median down 25 %, past the 20 % bound of ops_per_s
+    assert ops_verdict(tmp_path, PARENT, [p * 0.75 for p in PARENT]) == "worse"
+
+
+def test_verdict_within_the_bound(tmp_path):
+    assert ops_verdict(tmp_path, PARENT, [p * 0.9 for p in PARENT]) == "same"
+
+
+def test_verdict_unresolved(tmp_path):
+    # the parent's runs spread over 50 % of its median, wider than the bound
+    parent = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0, 65.0, 135.0]
+    assert ops_verdict(tmp_path, parent, [p * 0.9 for p in parent]) == "unresolved"
+
+
+def test_verdict_spread_but_every_run_better(tmp_path):
+    # the parent spreads as widely, and the median moves by less than its
+    # q3 - q1 = 77.5, but every run of the change beats every parent run
+    parent = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0, 65.0, 135.0]
+    change = [151.0] * 10
+    assert ops_verdict(tmp_path, parent, change) == "same"

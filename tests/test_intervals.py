@@ -67,3 +67,19 @@ class TestIntersect:
         assert line.intersect(left) == left == left.intersect(line)
         assert line.intersect(line) == line
         assert left.intersect(IntervalUnion(())).is_empty
+
+    def test_tied_ends(self):
+        # a shared point, rays that touch and equal ends meet in a piece;
+        # on a tie the end of the union on the left of `intersect` is kept,
+        # as max and min keep their first argument, so an int stays an int
+        cases = [
+            (((0, 1),), ((F(1), F(2)),), ((F(1), 1),)),
+            (((None, 1),), ((F(1), None),), ((F(1), 1),)),
+            (((1, 3),), ((F(1), F(3)),), ((1, 3),)),
+            (((0, 2), (3, None)), ((F(0), F(2)), (F(3), F(3))), ((0, 2), (3, F(3)))),
+            (((None, None),), ((None, 0), (F(1), None)), ((None, 0), (F(1), None))),
+        ]
+        for a, b, want in cases:
+            got = IntervalUnion(a).intersect(IntervalUnion(b)).components
+            assert got == want
+            assert [list(map(type, c)) for c in got] == [list(map(type, c)) for c in want]

@@ -9,7 +9,17 @@ partner is left out, and so is one outside `--seeds FIRST-LAST` when that
 is given. For every workload and every end-to-end metric that
 BENCHMARK.json declares, the record gives the number of pairs, each side's
 median and quartiles, the change of the median relative to the parent's,
-and the pairs the change won (strictly better in the metric's direction).
+the pairs the change won (strictly better in the metric's direction) and a
+verdict, one of:
+
+- gain: the change won at least 9 in 10 of the pairs, and its median is
+  better than the parent's by more than the parent's q3 - q1;
+- worse: the change's median is worse than the parent's by more than the
+  metric's bound, a share of the parent's median;
+- unresolved: the parent's q3 - q1 exceeds the bound, and not every run of
+  the change is better than every run of the parent;
+- same: none of these.
+
 It also counts the runs that were not correct and the failed operations,
 and copies the result files' provenance: a field every run of a side
 shares is given once, any other as the sorted list of its values (objects
@@ -47,6 +57,22 @@ def summary(values: list) -> dict:
         statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     )
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def verdict(parent: list, change: list, higher: bool, bound: float, won: int) -> str:
+    """gain, worse, unresolved or same, as the module docstring defines them."""
+    sign = 1 if higher else -1
+    stats = summary(parent)
+    base, spread = abs(stats["median"]), stats["q3"] - stats["q1"]
+    better_by = sign * (statistics.median(change) - stats["median"])
+    if 10 * won >= 9 * len(parent) and better_by > spread:
+        return "gain"
+    if -better_by > bound * base:
+        return "worse"
+    every_run_better = min(change) > max(parent) if higher else max(change) < min(parent)
+    if spread > bound * base and not every_run_better:
+        return "unresolved"
+    return "same"
 
 
 def merged(records: list) -> dict:
@@ -88,6 +114,7 @@ def record(parent: dict, change: dict, metrics: list, pr) -> dict:
                 "change": summary(values["change"]),
                 "median_change": (c_med - p_med) / p_med if p_med else None,
                 "pairs_won": won,
+                "verdict": verdict(values["parent"], values["change"], higher, m["bound"], won),
             }
         workloads[workload] = {
             "seeds": seeds,
@@ -121,7 +148,8 @@ def main(argv=None) -> int:
     for workload, data in rec["workloads"].items():
         for name, m in data["metrics"].items():
             print(f"{workload:16s} {name:13s} {m['parent']['median']:12.6g} -> "
-                  f"{m['change']['median']:12.6g} {m['unit']:4s} won {m['pairs_won']}/{m['pairs']}")
+                  f"{m['change']['median']:12.6g} {m['unit']:4s} won {m['pairs_won']}/{m['pairs']} "
+                  f"{m['verdict']}")
     return 0
 
 
