@@ -176,12 +176,10 @@ class EstimateFragment:
     hypothesis_ok: bool         # global fixed set empty
 
 
-def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
-    """The window estimator's cells at exponent p. Each cell takes the
-    largest 2n d^p over the generators, one p-th root, the transfer (p/2) d
-    and, for n > M, the proof's per-n bound: Lemma 4.1's at p = 2, the L^p
-    one at any other p, which needs p > log L and p >= 2. `cuts` holds each
-    schedule entry n with n and 2n as reals and its window's cuts."""
+def _exponent(p, L: Fraction, M: Fraction):
+    """A report's exponent p as a checked real, with the proof's per-n
+    bound at p for n > M: Lemma 4.1's at p = 2, the L^p one at any other
+    p, which needs p > log L and p >= 2."""
     p, Lr = read_real(p, "p"), to_real(L)
     if p == 2:
         root_L = mpmath.sqrt(Lr)
@@ -203,15 +201,22 @@ def _cells(windows, cuts, p, L: Fraction, M: Fraction) -> List[SweepCell]:
     # checks above let through
     p = koopman.check_exponent(p)
     inv_p = 1 / p
-    profiles = [w.at(p) for w in windows]
-    prec, r, make = mpmath.mp.prec, inv_p._mpf_, mpmath.mp.make_mpf
+    return p, proof
+
+
+def _cells(p: mpf, proof, powers, windows, M: Fraction) -> List[SweepCell]:
+    """The window estimator's cells at the exponent p that `_exponent`
+    checked, with its proof bound. `windows` holds each schedule entry n
+    with n and 2n as reals, and `powers` each generator's 2n d^p for every
+    n, as raw values. Each cell takes the largest 2n d^p over the generators,
+    one p-th root, the transfer (p/2) d and, for n > M, the proof bound."""
+    prec, r, make = mpmath.mp.prec, (1 / p)._mpf_, mpmath.mp.make_mpf
     cells = []
-    for n, nr, two_n, row in cuts:
+    for (n, nr, two_n), column in zip(windows, zip(*powers)):
         # on raw values, with the calls that max(...) and (top / two_n) **
-        # inv_p make on mpfs
+        # (1 / p) make on mpfs
         top = None
-        for pr, c in zip(profiles, row):
-            power = pr.scaled_power(c)
+        for power in column:
             if top is None or mpf_gt(power, top):
                 top = power
         d = make(mpf_pow(mpf_div(top, two_n._mpf_, prec, ROUNDING), r, prec, ROUNDING))
@@ -331,20 +336,28 @@ def bound_report(
         n_schedule = default_n_schedule(M)
     if not n_schedule:
         raise DomainError("empty n schedule")
-    windows = [koopman.WindowMap.of(g) for _, g in S.generators]
-    # each schedule entry n with the reals n and 2n, and the cuts of its
-    # window by every generator
-    cuts = []
+    ns = []
     for i, n in enumerate(n_schedule):
         n = check_exact(n, f"schedule[{i}]")
         if n <= 0:
             raise DomainError(
                 f"schedule entries must be positive, got {format_rational(n, 'schedule')}"
             )
-        cuts.append((n, to_real(n), to_real(2 * n), [w.cut(n) for w in windows]))
+        ns.append(n)
+    # each schedule entry n with the reals n and 2n
+    windows = [(n, to_real(n), to_real(2 * n)) for n in ns]
     if p_list is None:
         p_list = default_p_list(L)
-    sweep = tuple(cell for p in p_list for cell in _cells(windows, cuts, p, L, M))
+    exponents = [_exponent(p, L, M) for p in p_list]
+    ps = [p for p, _ in exponents]
+    # each map's rows of 2n d^p, one per exponent; a map keeps them, so a
+    # report that repeats the last one on it builds nothing
+    tables = [koopman.window_powers(g, ns, ps) for _, g in S.generators]
+    sweep = tuple(
+        cell
+        for (p, proof), powers in zip(exponents, zip(*tables))
+        for cell in _cells(p, proof, powers, windows, M)
+    )
 
     lemma43, lemma41 = phi_inv_branches(to_real(L))
     phi_inv_L = min(lemma41, lemma43)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceLimitError, SchemaError
@@ -191,14 +190,6 @@ def word_evaluate(w: Word, S: GeneratorSet) -> PLHomeo:
     return acc
 
 
-def _int_key(f: PLHomeo) -> tuple:
-    """The numerator and the denominator of every coordinate of f's
-    canonical nodes, in one flat tuple: equal exactly when the node tuples
-    are, and it holds the ints the Fractions already hold."""
-    parts = [x.as_integer_ratio() + y.as_integer_ratio() for x, y in f.nodes]
-    return tuple(chain.from_iterable(parts))
-
-
 def ball(
     S: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP
 ) -> List[Tuple[PLHomeo, Word]]:
@@ -218,7 +209,7 @@ def ball(
     # each element's position in entries, keyed by the numerators and
     # denominators of its canonical nodes: one lookup per product, and a
     # tuple of ints hashes and compares without a Fraction
-    index: Dict[tuple, int] = {_int_key(ident): 0}
+    index: Dict[tuple, int] = {ident._int_key(): 0}
     frontier = entries[:]
     for _ in range(radius):
         nxt = []
@@ -231,7 +222,7 @@ def ball(
                     continue
                 new = elem.compose(g)
                 size = len(entries)
-                if index.setdefault(_int_key(new), size) < size:
+                if index.setdefault(new._int_key(), size) < size:
                     continue  # seen before
                 if size >= cap:
                     raise ResourceLimitError(

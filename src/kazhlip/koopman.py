@@ -395,6 +395,41 @@ class WindowProfile(NamedTuple):
         return total
 
 
+class WindowRecord(NamedTuple):
+    """What a map keeps of its latest window report: the working precision,
+    the report's radii n as integer pairs n.as_integer_ratio() and its
+    exponents p as raw values p._mpf_, and for each exponent the row of raw
+    powers 2n ||pi(g) xi_n - xi_n||_p^p over those radii."""
+
+    prec: int
+    radii: tuple
+    exponents: tuple
+    rows: tuple
+
+
+def window_powers(g: PLHomeo, ns, ps) -> tuple:
+    """One row per exponent p in ps, each with g's raw 2n d^p for every
+    window [-n, n], n in ns. Each p is a real that check_exponent returned.
+
+    g keeps the rows of its latest report in the attribute `_window`, which
+    is no dataclass field: equality, hashing and repr ignore it. A report
+    with the same schedule and exponents at the same precision reads them
+    and builds nothing; any other builds g's WindowMap, every cut and every
+    row again, and replaces the record. Only the rows are kept, one real
+    per window and exponent: a map of 40 nodes reported on at 13 windows
+    and 3 exponents keeps 39 reals, where its WindowMap and profiles would
+    hold 351."""
+    key = (mpmath.mp.prec, tuple(n.as_integer_ratio() for n in ns), tuple(p._mpf_ for p in ps))
+    record = g.__dict__.get("_window")
+    if record is not None and record[:3] == key:
+        return record.rows
+    window = WindowMap.of(g)
+    cuts = [window.cut(n) for n in ns]
+    rows = tuple(tuple(map(window.at(p).scaled_power, cuts)) for p in ps)
+    object.__setattr__(g, "_window", WindowRecord(*key, rows))  # g is frozen
+    return rows
+
+
 def mazur_map(xi: StepFunction, q, p) -> StepFunction:
     """Per-piece signed power v -> sign(v) |v|^{q/p}; maps the unit sphere
     of L^q onto the unit sphere of L^p."""

@@ -27,6 +27,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError, ResourceLimitError, SchemaError
@@ -291,6 +292,26 @@ class PLHomeo:
     @staticmethod
     def translation(c) -> "PLHomeo":
         return PLHomeo._canonical(((Fraction(0), check_exact(c, "c")),))
+
+    # -- equality -------------------------------------------------
+
+    def _int_key(self) -> tuple:
+        """The numerator and the denominator of every coordinate of the
+        canonical nodes, in one flat tuple: equal exactly when the maps
+        are, whether a coordinate is an int or a Fraction, and it holds
+        the ints the Fractions already hold."""
+        parts = [x.as_integer_ratio() + y.as_integer_ratio() for x, y in self.nodes]
+        return tuple(chain.from_iterable(parts))
+
+    # Equality and the hash read the nodes as ints, never through
+    # Fraction.__eq__ or Fraction.__hash__.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._int_key() == other._int_key()
+
+    def __hash__(self):
+        return hash(self._int_key())
 
     # -- basic queries -------------------------------------------------
 

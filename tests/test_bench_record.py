@@ -10,14 +10,14 @@ spec.loader.exec_module(bench_record)
 METRICS = {"setup_s": "s", "peak_rss_mib": "MiB", "ops_per_s": "1/s", "op_p50_ms": "ms", "op_p90_ms": "ms"}
 
 
-def write_result(directory, seed, sha, ops_per_s, p50, failed=0):
+def write_result(directory, seed, sha, ops_per_s, p50, failed=0, attempted=100):
     directory.mkdir(exist_ok=True)
     values = {"setup_s": 0.5, "peak_rss_mib": 30.0, "ops_per_s": ops_per_s, "op_p50_ms": p50, "op_p90_ms": 2 * p50}
     result = {
         "provenance": {"git_sha": sha, "python": "3.11.7", "workload": "exact-group", "seed": seed,
                        "inputs": {"balls": 2, "case_seeds": f"{seed} * 1000003 + i"}},
         "correct": failed == 0,
-        "attempted": 100,
+        "attempted": attempted,
         "failed": failed,
         "metrics": {k: {"value": v, "unit": METRICS[k]} for k, v in values.items()},
     }
@@ -38,6 +38,7 @@ def test_record_from_synthetic_runs(tmp_path):
     assert data["seeds"] == [1]
     assert data["failed"] == {"parent": 0, "change": 2}
     assert data["not_correct"] == {"parent": 0, "change": 1}
+    assert data["attempted"] == {"parent": 100, "change": 100}
     ops = data["metrics"]["ops_per_s"]
     assert ops["pairs"] == 1 and ops["pairs_won"] == 1 and ops["better"] == "higher"
     assert ops["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
@@ -134,3 +135,19 @@ def test_verdict_spread_but_every_run_better(tmp_path):
     parent = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0, 65.0, 135.0]
     change = [151.0] * 10
     assert ops_verdict(tmp_path, parent, change) == "same"
+
+
+def test_attempted_medians(tmp_path, capsys):
+    # peak_rss_mib grows with the operations a run completes, so the record
+    # gives each side's median count beside it
+    for seed, (p, c) in enumerate([(100, 300), (120, 310), (90, 290), (110, 400)], 1):
+        write_result(tmp_path / "parent", seed, "aaa", ops_per_s=1.0, p50=1.0, attempted=p)
+        write_result(tmp_path / "change", seed, "bbb", ops_per_s=1.0, p50=1.0, attempted=c)
+    out = tmp_path / "out.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                              "--pr", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["exact-group"]["attempted"] == {
+        "parent": 105.0, "change": 305.0,
+    }
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["exact-group", "attempted", "105", "->", "305", "ops", "(median", "per", "run)"]

@@ -1,4 +1,6 @@
 import collections
+import collections.abc
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -29,6 +31,7 @@ from kazhlip import (
 )
 from kazhlip import bounds, koopman, plmap
 from kazhlip.bounds import default_n_schedule, default_p_list
+from kazhlip.precision import to_real
 
 T1 = PLHomeo.translation(1)
 BUMP = PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3)])
@@ -461,18 +464,46 @@ def spread_map(rng, pieces) -> PLHomeo:
     return PLHomeo(tuple((x, x + F(rng.randint(-8, 8), 4)) for x in xs))
 
 
+def to_real_count(S, p_list, schedule, default_p_list=False) -> int:
+    """The to_real calls of a report: n and 2n per schedule entry; per p, p
+    itself, L, p again in check_exponent, and M for the L^p proof bound
+    or, at p = 2, the ratio (n - M)/n of each cell with n > M; L for
+    phi_inv(L), and L for the default p list when L > 1."""
+    L, M = S.max_lip(), S.max_displacement()
+    large = sum(n > M for n in schedule)
+    per_p = sum(3 + (large if p == 2 else 1) for p in p_list)
+    return 2 * len(schedule) + per_p + 1 + (default_p_list and L > 1)
+
+
+class Reads(collections.abc.Sequence):
+    """A sequence that counts every read of an element, also by iteration."""
+
+    def __init__(self, items, reads):
+        self.items, self.reads = items, reads
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads["read"] += 1
+        return self.items[i]
+
+
 class TestOperationBudget:
     """What one `bound` report costs, counted in calls, so that a change
     doing more work fails on any machine."""
 
     def test_random_8x40_report(self, monkeypatch):
         S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
+        L, M = S.max_lip(), S.max_displacement()
+        formula = to_real_count(S, default_p_list(L), default_n_schedule(M), True)
         calls = report_calls(monkeypatch, S)
         to_reals = calls.pop("to_real")
         assert calls == {
             "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "exp": 1560, "log": 319,
         }
         assert to_reals <= 63
+        assert to_reals == formula
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -529,3 +560,122 @@ class TestOperationBudget:
         assert calls["evaluate_sorted"] == evaluations
         assert calls["exp"] == total * sum(p not in (1, 2) for p in p_list)
         assert calls["log"] == total + sum(p != 2 for p in p_list) + 1
+        assert calls["to_real"] == to_real_count(S, p_list, schedule)
+
+    @pytest.mark.parametrize("k", [10, 100, 10_000])
+    def test_cold_cut_reads_logarithmic(self, k):
+        # every read of a node coordinate during one cut: evaluate_sorted's
+        # steps and bisections and the cut's two bisections of the y_j. The
+        # nodes lie on both sides of 0, so both ends of each window fall
+        # among them, and a scan over the pieces would read thousands at
+        # k = 10,000.
+        g = spread_map(random.Random(k), k)
+        g = PLHomeo(tuple((x - 5 * k, y - 5 * k) for x, y in g.nodes))
+        wm = koopman.WindowMap.of(g)
+        reads = collections.Counter()
+        counted = wm._replace(xs=Reads(wm.xs, reads), ys=Reads(wm.ys, reads))
+        for share in (F(1, 3), F(1, 2), F(9, 10)):
+            n = wm.n0 * share
+            reads.clear()
+            cut = counted.cut(n)
+            assert cut == wm.cut(n) and not cut.covers_nodes and len(cut.full) > k // 10
+            assert 0 < reads["read"] <= 20 * math.log2(k), reads
+
+
+def random_8x40() -> GeneratorSet:
+    """The golden 8x40 set, on maps that hold no window data yet."""
+    return GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
+
+
+def report_bits(report) -> list:
+    """The raw values of a report's reals: its cells and its bounds."""
+    cells = [
+        tuple(None if x is None else x._mpf_ for x in (c.p, c.distortion, c.kappa_upper, c.proof_bound))
+        for c in report.sweep
+    ]
+    bounds_ = (report.lemma41_bound, report.lemma43_bound, report.phi_inv_of_L, report.headline)
+    return cells + [tuple(x._mpf_ for x in bounds_)]
+
+
+class TestWindowRecord:
+    """Each map keeps the window data of its latest report at the working
+    precision, so a report that repeats it builds no window data; every
+    report-level step still runs."""
+
+    def test_repeated_report_builds_nothing(self, monkeypatch):
+        S = random_8x40()
+        cold = bound_report(S)
+        L, M = S.max_lip(), S.max_displacement()
+        to_reals = to_real_count(S, default_p_list(L), default_n_schedule(M), True)
+        kernel = collections.Counter()
+        for name in ("mpf_exp", "mpf_log"):
+            f = getattr(koopman, name)
+
+            def counted(*args, f=f, name=name):
+                kernel[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(koopman, name, counted)
+        calls = report_calls(monkeypatch, S)
+        assert kernel == {}
+        # log L for the default p list, for each of its five p (all other
+        # than 2) and for phi_inv(L), and the to_real calls of a cold report
+        assert calls == {"log": 7, "to_real": to_reals}
+        assert report_bits(bound_report(S)) == report_bits(cold)
+
+    @pytest.mark.parametrize("digits", [15, 30, 50])
+    def test_warm_equals_cold(self, digits):
+        with precision(digits):
+            S = random_8x40()
+            cold, warm = bound_report(S, [2, 3, 64]), bound_report(S, [2, 3, 64])
+            assert report_bits(warm) == report_bits(cold)
+            assert warm.to_json() == cold.to_json()
+
+    def test_precision_change(self):
+        S = random_8x40()
+        at_30 = report_bits(bound_report(S))
+        with precision(50):
+            assert report_bits(bound_report(S)) == report_bits(bound_report(random_8x40()))
+        with precision(15):
+            assert report_bits(bound_report(S)) == report_bits(bound_report(random_8x40()))
+        assert report_bits(bound_report(S)) == at_30
+
+    def test_new_exponents_and_radii(self):
+        # a report with other exponents or another schedule than the
+        # record's builds its own data, with the bits of fresh maps
+        rng = random.Random(5)
+        S = GeneratorSet("s", tuple((f"g{i}", spread_map(rng, 9)) for i in range(3)))
+        for p_list, schedule in (([2, 4], [1, 8, 40]), ([4, 16], [1, 8, 40]), ([4, 16], [1, 8, 40, 50])):
+            fresh = GeneratorSet("s", tuple((k, PLHomeo(g.nodes)) for k, g in S.generators))
+            got = report_bits(bound_report(S, p_list, schedule))
+            assert got == report_bits(bound_report(fresh, p_list, schedule))
+
+    def test_record_holds_one_report(self, monkeypatch):
+        rng = random.Random(6)
+        maps = [spread_map(rng, 7) for _ in range(3)]
+        S = GeneratorSet("s", tuple((f"g{i}", g) for i, g in enumerate(maps)))
+        schedule = [1, 4, 16, 64]
+        calls = collections.Counter()
+        at = koopman.WindowMap.at
+
+        def counted(self, p):
+            calls["at"] += 1
+            return at(self, p)
+
+        monkeypatch.setattr(koopman.WindowMap, "at", counted)
+        for i in range(200):
+            bound_report(S, [2 + F(i, 8)], schedule)
+        assert calls["at"] == 200 * len(maps)
+        p_last = to_real(2 + F(199, 8))
+        for g in maps:
+            record = g._window
+            assert record.radii == tuple((n, 1) for n in schedule)
+            assert record.exponents == (p_last._mpf_,)
+            assert len(record.rows) == 1 and len(record.rows[0]) == len(schedule)
+
+    def test_equality_ignores_the_record(self):
+        S, fresh = random_8x40(), random_8x40()
+        bound_report(S)
+        for (_, g), (_, h) in zip(S.generators, fresh.generators):
+            assert "_window" in vars(g) and "_window" not in vars(h)
+            assert g == h and hash(g) == hash(h) and repr(g) == repr(h)

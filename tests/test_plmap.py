@@ -472,6 +472,36 @@ class TestTrustedResults:
         assert g.compose(f).nodes == compose_oracle(g, f).nodes
 
 
+class TestEquality:
+    """Maps are equal when their canonical node tuples are, read as
+    integer numerator and denominator pairs; the hash agrees."""
+
+    def test_int_and_fraction_nodes(self):
+        ints = PLHomeo(((0, 0), (1, 2), (3, 3)))
+        fractions = PLHomeo(((F(0), F(0)), (F(1), F(2)), (F(3), F(3))))
+        assert type(ints.nodes[1][1]) is int and type(fractions.nodes[1][1]) is F
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert PLHomeo.translation(2) == PLHomeo.translation(F(2))
+        assert hash(PLHomeo.translation(2)) == hash(PLHomeo.translation(F(2)))
+
+    def test_differences(self):
+        assert BUMP != PLHomeo.from_pairs([(0, 0), (1, F(5, 2)), (3, 3)])
+        assert BUMP != PLHomeo.from_pairs([(0, 0), (1, 2), (3, 3), (4, 5)])
+        assert PLHomeo.translation(F(1, 2)) != PLHomeo.translation(F(1, 3))
+        assert BUMP != BUMP.nodes and BUMP.__eq__(BUMP.nodes) is NotImplemented
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_node_tuple_equality(self, data):
+        # small magnitudes make equal maps from different draws common
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        f, g = random_plhomeo(rng, 3, 2), random_plhomeo(rng, 3, 2)
+        assert (f == g) == (f.nodes == g.nodes)
+        assert f == PLHomeo._canonical(tuple((x, y) for x, y in f.nodes))
+        if f == g:
+            assert hash(f) == hash(g)
+
+
 class TestInvert:
     def test_examples(self):
         assert IDENT.invert() == IDENT

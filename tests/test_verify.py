@@ -138,3 +138,27 @@ def close_draws(draw):
 def test_integer_key_orders_as_fractions(pairs):
     got = _distinct_rationals(Draws(n for pair in pairs for n in pair), len(pairs), BIG, 1)
     assert typed(got) == typed(sorted({F(a, b) for a, b in pairs}))
+
+
+@CPYTHON_311
+def test_group_law_cases_compare_on_integers(monkeypatch):
+    # the exact-group benchmark's cases; map equality went through
+    # Fraction.__eq__ node by node, 3,210 calls here. What is left is the
+    # Lip check of each group-law case and the Lip and displacement checks
+    # of each homothety case, 3 per s, and the one alpha <= 0 per case in
+    # conjugate_by_homothety.
+    calls = Counter()
+    for name in FRACTION_ORDER:
+        method = getattr(F, name)
+
+        def counted(*args, method=method, name=name):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    for s in range(100):
+        results = verify.suite_group_axioms(1, s) + verify.suite_homothety(1, s)
+        assert all(failures == 0 for _, _, failures, _ in results)
+    assert {name: calls[name] for name in FRACTION_ORDER} == {
+        "_richcmp": 100, "__eq__": 300, "__hash__": 0,
+    }

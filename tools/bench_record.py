@@ -20,8 +20,9 @@ verdict, one of:
   the change is better than every run of the parent;
 - same: none of these.
 
-It also counts the runs that were not correct and the failed operations,
-and copies the result files' provenance: a field every run of a side
+It also gives each side's median number of operations attempted, counts
+the runs that were not correct and the failed operations, and copies the
+result files' provenance: a field every run of a side
 shares is given once, any other as the sorted list of its values (objects
 field by field).
 
@@ -118,6 +119,10 @@ def record(parent: dict, change: dict, metrics: list, pr) -> dict:
             }
         workloads[workload] = {
             "seeds": seeds,
+            # a run repeats whole rounds for a fixed time, so a faster side
+            # attempts more operations, and peak_rss_mib grows with them
+            "attempted": {side: statistics.median(r["attempted"] for r in runs)
+                          for side, runs in sides.items()},
             "not_correct": {side: sum(not r["correct"] for r in runs) for side, runs in sides.items()},
             "failed": {side: sum(r["failed"] for r in runs) for side, runs in sides.items()},
             "metrics": table,
@@ -146,6 +151,9 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(rec, indent=2) + "\n")
     for workload, data in rec["workloads"].items():
+        ops = data["attempted"]
+        print(f"{workload:16s} {'attempted':13s} {ops['parent']:12.6g} -> {ops['change']:12.6g} "
+              f"ops  (median per run)")
         for name, m in data["metrics"].items():
             print(f"{workload:16s} {name:13s} {m['parent']['median']:12.6g} -> "
                   f"{m['change']['median']:12.6g} {m['unit']:4s} won {m['pairs_won']}/{m['pairs']} "
