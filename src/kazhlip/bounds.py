@@ -26,7 +26,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpf_div, mpf_gt, mpf_pow
+from mpmath.libmp import (
+    fhalf, fone, from_int, from_rational, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_neg, mpf_pow, mpf_rdiv_int, mpf_sqrt, mpf_sub,
+)
 
 # read at call time: `phi` and `phi-inv` run neither module
 from . import groupact, koopman
@@ -34,6 +37,12 @@ from .errors import DomainError
 from .intervals import _less
 from .plmap import check_exact, format_rational
 from .precision import ROUNDING, read_real, real_str, to_real
+
+# The report's reals run on raw libmp values (`mpf._mpf_`), with the libmp
+# calls that the mpf expressions in tests/oracles.py make, in their order,
+# at `mpmath.mp.prec` and ROUNDING, so they keep those expressions' bits.
+_TWO, _MINUS_HALF = from_int(2), mpf_neg(fhalf)
+
 
 def kappa_max() -> mpf:
     return mpmath.sqrt(2)
@@ -63,7 +72,19 @@ def phi_branches(t: mpf) -> Tuple[mpf, mpf]:
 def phi_inv_branches(t: mpf) -> Tuple[mpf, mpf]:
     """The two branches (1/2) log t and sqrt2 (1 - t^{-1/2})^{1/2} of
     phi_inv, for t >= 1; phi_inv is their minimum."""
-    return mpmath.log(t) / 2, kappa_max() * mpmath.sqrt(1 - t ** mpf("-0.5"))
+    log_branch, sqrt_branch = _phi_inv_branches(t._mpf_, mpmath.log(t)._mpf_)
+    return mpmath.mp.make_mpf(log_branch), mpmath.mp.make_mpf(sqrt_branch)
+
+
+def _phi_inv_branches(t: tuple, log_t: tuple) -> Tuple[tuple, tuple]:
+    """phi_inv_branches on the raw values of t and log t."""
+    prec = mpmath.mp.prec
+    gap = mpf_sub(fone, mpf_pow(t, _MINUS_HALF, prec, ROUNDING), prec, ROUNDING)  # 1 - t^{-1/2}
+    root = mpf_sqrt(gap, prec, ROUNDING)
+    return (
+        mpf_div(log_t, _TWO, prec, ROUNDING),
+        mpf_mul(mpf_sqrt(_TWO, prec, ROUNDING), root, prec, ROUNDING),
+    )
 
 
 def phi_inv(t) -> mpf:
@@ -110,17 +131,28 @@ def kappa_transfer(p, distortion) -> mpf:
 
 def _transfer(p: mpf, d: mpf) -> mpf:
     """(p/2) d for reals that kappa_transfer would accept."""
-    return p / 2 * d
+    prec = mpmath.mp.prec
+    return mpmath.mp.make_mpf(mpf_mul(_half(p._mpf_), d._mpf_, prec, ROUNDING))
+
+
+def _half(p: tuple) -> tuple:
+    """p/2, the factor of the transfer, on a raw value."""
+    return mpf_div(p, _TWO, mpmath.mp.prec, ROUNDING)
 
 
 def log_power_constant(p: mpf, L: mpf) -> mpf:
     """The constant c of the log-power inequality |x^{1/p} - 1| <= c for x
     in [1/L, L], c = log L / (p - log L). p and L are reals; p must exceed
     log L."""
-    logL = mpmath.log(L)
-    if p <= logL:
-        raise DomainError(f"need p > log(L) = {logL}, got p={p}")
-    return logL / (p - logL)
+    return mpmath.mp.make_mpf(_log_power_constant(p, mpmath.log(L)))
+
+
+def _log_power_constant(p: mpf, log_L: mpf) -> tuple:
+    """log_power_constant from log L, as a raw value."""
+    if p <= log_L:
+        raise DomainError(f"need p > log(L) = {log_L}, got p={p}")
+    prec, log_L = mpmath.mp.prec, log_L._mpf_
+    return mpf_div(log_L, mpf_sub(p._mpf_, log_L, prec, ROUNDING), prec, ROUNDING)
 
 
 def log_power_bound_check(x, p, L) -> Tuple[bool, mpf]:
@@ -176,53 +208,65 @@ class EstimateFragment:
     hypothesis_ok: bool         # global fixed set empty
 
 
-def _exponent(p, L: Fraction, M: Fraction):
+def _exponent(p, L: mpf, log_L: mpf, M: Fraction):
     """A report's exponent p as a checked real, with the proof's per-n
     bound at p for n > M: Lemma 4.1's at p = 2, the L^p one at any other
-    p, which needs p > log L and p >= 2."""
-    p, Lr = read_real(p, "p"), to_real(L)
+    p, which needs p > log L and p >= 2. L and log L are reals. Returns p,
+    1/p as a raw value, and the bound, which takes n as a Fraction and as a
+    raw real and gives a raw real."""
+    p, prec = read_real(p, "p"), mpmath.mp.prec
     if p == 2:
-        root_L = mpmath.sqrt(Lr)
+        root_L = mpf_sqrt(L._mpf_, prec, ROUNDING)
+        c, d = M.as_integer_ratio()
 
         def proof(n, nr):
-            return mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / root_L)
+            # sqrt(2 - 2 ((n - M)/n) / sqrt L), with (n - M)/n = (a d - c b)
+            # / (a d) for n = a/b and M = c/d
+            a, b = n.as_integer_ratio()
+            ratio = from_rational(a * d - c * b, a * d, prec, ROUNDING)
+            scaled = mpf_div(mpf_mul_int(ratio, 2, prec, ROUNDING), root_L, prec, ROUNDING)
+            return mpf_sqrt(mpf_sub(_TWO, scaled, prec, ROUNDING), prec, ROUNDING)
     else:
         # the log-power constant to the p bounds every weight |s^{1/p} - 1|^p
-        weight_bound = log_power_constant(p, Lr) ** p
+        weight_bound = mpf_pow(_log_power_constant(p, log_L), p._mpf_, prec, ROUNDING)
         if p < 2:
             raise DomainError(f"the L^p transfer needs p >= 2, got {p}")
-        Mr = to_real(M)
-        four_ML = 4 * Mr * Lr
+        Mr = to_real(M)._mpf_
+        four_ML = mpf_mul(mpf_mul_int(Mr, 4, prec, ROUNDING), L._mpf_, prec, ROUNDING)
 
         def proof(n, nr):
-            return (four_ML / (2 * nr) + (nr + Mr) / nr * weight_bound) ** inv_p
+            # (4 M L / (2n) + ((n + M)/n) weight_bound)^{1/p}
+            tail = mpf_div(four_ML, mpf_mul_int(nr, 2, prec, ROUNDING), prec, ROUNDING)
+            share = mpf_div(mpf_add(nr, Mr, prec, ROUNDING), nr, prec, ROUNDING)
+            body = mpf_mul(share, weight_bound, prec, ROUNDING)
+            return mpf_pow(mpf_add(tail, body, prec, ROUNDING), inv_p, prec, ROUNDING)
 
     # `at` trusts p: this one check rejects the nan and inf that the
     # checks above let through
     p = koopman.check_exponent(p)
-    inv_p = 1 / p
-    return p, proof
+    inv_p = mpf_rdiv_int(1, p._mpf_, prec, ROUNDING)
+    return p, inv_p, proof
 
 
-def _cells(p: mpf, proof, powers, windows, M: Fraction) -> List[SweepCell]:
+def _cells(p: mpf, inv_p: tuple, proof, powers, windows) -> List[SweepCell]:
     """The window estimator's cells at the exponent p that `_exponent`
-    checked, with its proof bound. `windows` holds each schedule entry n
-    with n and 2n as reals, and `powers` each generator's 2n d^p for every
-    n, as raw values. Each cell takes the largest 2n d^p over the generators,
-    one p-th root, the transfer (p/2) d and, for n > M, the proof bound."""
-    prec, r, make = mpmath.mp.prec, (1 / p)._mpf_, mpmath.mp.make_mpf
+    checked, with its 1/p and proof bound. `windows` holds each schedule
+    entry n with n and 2n as raw reals and whether n > M, and `powers` each
+    generator's 2n d^p for every n, as raw values. Each cell takes the
+    largest 2n d^p over the generators, one p-th root, the transfer
+    (p/2) d and, for n > M, the proof bound, and makes one mpf of each."""
+    prec, make, half = mpmath.mp.prec, mpmath.mp.make_mpf, _half(p._mpf_)
     cells = []
-    for (n, nr, two_n), column in zip(windows, zip(*powers)):
-        # on raw values, with the calls that max(...) and (top / two_n) **
-        # (1 / p) make on mpfs
+    for (n, nr, two_n, large), column in zip(windows, zip(*powers)):
+        # the calls that max(...) and (top / two_n) ** (1 / p) make on mpfs
         top = None
         for power in column:
             if top is None or mpf_gt(power, top):
                 top = power
-        d = make(mpf_pow(mpf_div(top, two_n._mpf_, prec, ROUNDING), r, prec, ROUNDING))
-        large = _less(M, n)  # n > M, on integers
-        bound = proof(n, nr) if large else None
-        cells.append(SweepCell(p, n, d, _transfer(p, d), bound, large))
+        d = mpf_pow(mpf_div(top, two_n, prec, ROUNDING), inv_p, prec, ROUNDING)
+        kappa = mpf_mul(half, d, prec, ROUNDING)
+        bound = make(proof(n, nr)) if large else None
+        cells.append(SweepCell(p, n, make(d), make(kappa), bound, large))
     return cells
 
 
@@ -256,9 +300,10 @@ def default_n_schedule(M: Fraction) -> List[Fraction]:
     return [base * 2**k for k in range(SCHEDULE_KMAX + 1)]
 
 
-def default_p_list(L: Fraction) -> List[int]:
-    logL = mpmath.log(to_real(L)) if L > 1 else mpf(0)
-    return [p for p in (2, 4, 8, 16, 32, 64) if p > logL]
+def default_p_list(log_L: mpf) -> List[int]:
+    """The exponents 2, 4, ..., 64 above log L, the real log of the largest
+    Lipschitz constant: a report's exponents when it is given none."""
+    return [p for p in (2, 4, 8, 16, 32, 64) if p > log_L]
 
 
 @dataclass(frozen=True)
@@ -344,23 +389,35 @@ def bound_report(
                 f"schedule entries must be positive, got {format_rational(n, 'schedule')}"
             )
         ns.append(n)
-    # each schedule entry n with the reals n and 2n
-    windows = [(n, to_real(n), to_real(2 * n)) for n in ns]
+    # each schedule entry n with n and 2n as raw reals, and whether n > M
+    prec, windows = mpmath.mp.prec, []
+    for n in ns:
+        a, b = n.as_integer_ratio()
+        nr, two_n = from_rational(a, b, prec, ROUNDING), from_rational(2 * a, b, prec, ROUNDING)
+        windows.append((n, nr, two_n, _less(M, n)))
+    # L and log L once per report
+    Lr = to_real(L)
+    log_L = mpmath.log(Lr)
     if p_list is None:
-        p_list = default_p_list(L)
-    exponents = [_exponent(p, L, M) for p in p_list]
-    ps = [p for p, _ in exponents]
+        p_list = default_p_list(log_L)
+    exponents = [_exponent(p, Lr, log_L, M) for p in p_list]
+    ps = [p for p, _, _ in exponents]
     # each map's rows of 2n d^p, one per exponent; a map keeps them, so a
     # report that repeats the last one on it builds nothing
     tables = [koopman.window_powers(g, ns, ps) for _, g in S.generators]
     sweep = tuple(
         cell
-        for (p, proof), powers in zip(exponents, zip(*tables))
-        for cell in _cells(p, proof, powers, windows, M)
+        for (p, inv_p, proof), powers in zip(exponents, zip(*tables))
+        for cell in _cells(p, inv_p, proof, powers, windows)
     )
 
-    lemma43, lemma41 = phi_inv_branches(to_real(L))
+    lemma43, lemma41 = map(mpmath.mp.make_mpf, _phi_inv_branches(Lr._mpf_, log_L._mpf_))
     phi_inv_L = min(lemma41, lemma43)
+    # the minimum that min([phi_inv_L, *kappa_uppers]) takes, on raw values
+    headline = phi_inv_L
+    for cell in sweep:
+        if mpf_lt(cell.kappa_upper._mpf_, headline._mpf_):
+            headline = cell.kappa_upper
     return BoundReport(
         group_name=S.name,
         per_generator=per_generator,
@@ -371,5 +428,5 @@ def bound_report(
         lemma41_bound=lemma41,
         lemma43_bound=lemma43,
         phi_inv_of_L=phi_inv_L,
-        headline=min([phi_inv_L, *(c.kappa_upper for c in sweep)]),
+        headline=headline,
     )

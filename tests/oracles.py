@@ -2,8 +2,8 @@
 and fixed sets, slopes as Fractions, fixed sets sorted and merged from an
 unordered scan, inner products and the input-file form of a generator set,
 which the library never needs; the Koopman operations and the window
-estimator's loops in their plain mpf form; and the seeded generators of
-kazhlip.verify as sorted sets of Fractions."""
+estimator's loops and a bound report's own reals in their plain mpf form;
+and the seeded generators of kazhlip.verify as sorted sets of Fractions."""
 
 from bisect import bisect_right
 from fractions import Fraction
@@ -255,6 +255,43 @@ def scaled_power(profile, cut: WindowCut) -> mpf:
     for j, length in cut.partial:
         total += weights[j] * _make(length)
     return total
+
+
+# A bound report's own reals as mpf expressions: the proof bounds, the
+# transfer, the branches of phi_inv and the headline. bounds runs them on
+# raw libmp values; these are the references it must agree with, bit for bit.
+
+
+def lemma41_proof_bound(n, L, M) -> mpf:
+    """Lemma 4.1's per-n bound sqrt(2 - 2 ((n - M)/n) L^{-1/2}) at p = 2."""
+    root_L = mpmath.sqrt(to_real(L))
+    return mpmath.sqrt(2 - 2 * to_real(Fraction(n - M, n)) / root_L)
+
+
+def lp_proof_bound(n, p, L, M) -> mpf:
+    """The L^p per-n bound (4ML / (2n) + ((n + M)/n) c^p)^{1/p}, with c the
+    log-power constant log L / (p - log L)."""
+    p, Lr, Mr, nr = to_real(p), to_real(L), to_real(M), to_real(n)
+    log_L = mpmath.log(Lr)
+    weight_bound = (log_L / (p - log_L)) ** p
+    four_ML = 4 * Mr * Lr
+    return (four_ML / (2 * nr) + (nr + Mr) / nr * weight_bound) ** (1 / p)
+
+
+def transfer(p, d) -> mpf:
+    """The Kazhdan upper bound (p/2) d of one distortion d."""
+    return p / 2 * d
+
+
+def phi_inv_branches(t) -> tuple:
+    """(1/2) log t and sqrt2 (1 - t^{-1/2})^{1/2}."""
+    return mpmath.log(t) / 2, mpmath.sqrt(2) * mpmath.sqrt(1 - t ** mpf("-0.5"))
+
+
+def headline(L, sweep) -> mpf:
+    """The minimum of phi_inv(L) and of the transfer of every cell's
+    distortion."""
+    return min([min(phi_inv_branches(to_real(L))), *(transfer(c.p, c.distortion) for c in sweep)])
 
 
 # The seeded generators as sorted sets of Fractions, the map validated by

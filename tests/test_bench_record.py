@@ -151,3 +151,41 @@ def test_attempted_medians(tmp_path, capsys):
     }
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["exact-group", "attempted", "105", "->", "305", "ops", "(median", "per", "run)"]
+
+
+def claim_exit(tmp_path, change_ops, claim, change_p50=1.0):
+    """main's exit code with --claim, on ten pairs of PARENT ops_per_s; the
+    parent's op_p50_ms is 1."""
+    for seed, (p, c) in enumerate(zip(PARENT, change_ops), 1):
+        write_result(tmp_path / "parent", seed, "aaa", ops_per_s=p, p50=1.0)
+        write_result(tmp_path / "change", seed, "bbb", ops_per_s=c, p50=change_p50)
+    out = tmp_path / "out.json"
+    code = bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                              "--pr", "1", "--out", str(out), "--claim", claim])
+    assert out.exists()  # the record is written either way
+    return code
+
+
+def test_claim_gain_exits_0(tmp_path, capsys):
+    assert claim_exit(tmp_path, [p + 10 for p in PARENT], "exact-group/ops_per_s") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_claim_without_gain_exits_1(tmp_path, capsys):
+    assert claim_exit(tmp_path, [p + 2 for p in PARENT], "exact-group/ops_per_s") == 1
+    assert capsys.readouterr().err == "claim exact-group/ops_per_s fails: exact-group/ops_per_s is same\n"
+
+
+def test_claim_of_a_missing_pair_exits_1(tmp_path, capsys):
+    assert claim_exit(tmp_path, [p + 10 for p in PARENT], "bound-window/ops_per_s") == 1
+    assert "bound-window/ops_per_s is missing" in capsys.readouterr().err
+
+
+def test_claim_with_another_pair_worse_exits_1(tmp_path, capsys):
+    # the claimed ops_per_s gains while op_p50_ms doubles, past its bound
+    assert claim_exit(tmp_path, [p + 10 for p in PARENT], "exact-group/ops_per_s", change_p50=2.0) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "claim exact-group/ops_per_s fails: exact-group/op_p50_ms is worse",
+        "claim exact-group/ops_per_s fails: exact-group/op_p90_ms is worse",
+    ]

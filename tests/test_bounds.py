@@ -29,6 +29,7 @@ from kazhlip import (
     theorem_check,
     window_vector,
 )
+import oracles
 from kazhlip import bounds, koopman, plmap
 from kazhlip.bounds import default_n_schedule, default_p_list
 from kazhlip.precision import to_real
@@ -360,8 +361,9 @@ class TestBoundReport:
     def test_default_schedules(self):
         assert default_n_schedule(F(1, 2))[:3] == [1, 2, 4]
         assert default_n_schedule(F(3))[0] == 3
-        assert default_p_list(F(2)) == [2, 4, 8, 16, 32, 64]
-        assert default_p_list(F(16)) == [4, 8, 16, 32, 64]
+        assert default_p_list(mpmath.log(1)) == [2, 4, 8, 16, 32, 64]
+        assert default_p_list(mpmath.log(2)) == [2, 4, 8, 16, 32, 64]
+        assert default_p_list(mpmath.log(16)) == [4, 8, 16, 32, 64]
 
     def test_all_kappa_uppers_nonnegative(self):
         S = sym("bump", BUMP)
@@ -422,37 +424,39 @@ class TestHomothetyInvariance:
         assert [bits(c) for c in got] == [bits(c) for c in want]
 
 
+def counted(calls, name, f):
+    """f, counting each call in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+
+    return wrapper
+
+
 def report_calls(monkeypatch, S, *args) -> collections.Counter:
     """The calls that bound_report(S, *args) makes to the window layer,
     evaluate_sorted, to_real, and exp and log."""
     calls = collections.Counter()
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-
-        return wrapper
-
     window = koopman.WindowMap
-    monkeypatch.setattr(window, "of", staticmethod(counted("of", window.of)))
-    monkeypatch.setattr(window, "cut", counted("cut", window.cut))
-    monkeypatch.setattr(window, "at", counted("at", window.at))
+    monkeypatch.setattr(window, "of", staticmethod(counted(calls, "of", window.of)))
+    monkeypatch.setattr(window, "cut", counted(calls, "cut", window.cut))
+    monkeypatch.setattr(window, "at", counted(calls, "at", window.at))
     # every module that calls a name imported it into its own namespace
-    evaluate_sorted = counted("evaluate_sorted", plmap.evaluate_sorted)
+    evaluate_sorted = counted(calls, "evaluate_sorted", plmap.evaluate_sorted)
     for module in (plmap, koopman):
         monkeypatch.setattr(module, "evaluate_sorted", evaluate_sorted)
     to_real, read_real = bounds.to_real, bounds.read_real
     for module in (bounds, koopman):
-        monkeypatch.setattr(module, "to_real", counted("to_real", to_real))
+        monkeypatch.setattr(module, "to_real", counted(calls, "to_real", to_real))
         # a caller's real is read through read_real, one conversion each
-        monkeypatch.setattr(module, "read_real", counted("to_real", read_real))
+        monkeypatch.setattr(module, "read_real", counted(calls, "to_real", read_real))
     # the window kernel's exp and log are libmp's, on raw values; every
     # other exp or log is mpmath's
-    monkeypatch.setattr(koopman, "mpf_exp", counted("exp", koopman.mpf_exp))
-    monkeypatch.setattr(koopman, "mpf_log", counted("log", koopman.mpf_log))
-    monkeypatch.setattr(mpmath, "exp", counted("exp", mpmath.exp))
-    monkeypatch.setattr(mpmath, "log", counted("log", mpmath.log))
+    monkeypatch.setattr(koopman, "mpf_exp", counted(calls, "exp", koopman.mpf_exp))
+    monkeypatch.setattr(koopman, "mpf_log", counted(calls, "log", koopman.mpf_log))
+    monkeypatch.setattr(mpmath, "exp", counted(calls, "exp", mpmath.exp))
+    monkeypatch.setattr(mpmath, "log", counted(calls, "log", mpmath.log))
     bound_report(S, *args)
     return calls
 
@@ -464,15 +468,39 @@ def spread_map(rng, pieces) -> PLHomeo:
     return PLHomeo(tuple((x, x + F(rng.randint(-8, 8), 4)) for x in xs))
 
 
-def to_real_count(S, p_list, schedule, default_p_list=False) -> int:
-    """The to_real calls of a report: n and 2n per schedule entry; per p, p
-    itself, L, p again in check_exponent, and M for the L^p proof bound
-    or, at p = 2, the ratio (n - M)/n of each cell with n > M; L for
-    phi_inv(L), and L for the default p list when L > 1."""
-    L, M = S.max_lip(), S.max_displacement()
-    large = sum(n > M for n in schedule)
-    per_p = sum(3 + (large if p == 2 else 1) for p in p_list)
-    return 2 * len(schedule) + per_p + 1 + (default_p_list and L > 1)
+def to_real_count(p_list) -> int:
+    """The to_real calls of a report: per p, p itself, p again in
+    check_exponent and, for p other than 2, M for the L^p proof bound; and
+    L once. Each n, 2n and ratio (n - M)/n is one from_rational of
+    integers."""
+    return sum(2 + (p != 2) for p in p_list) + 1
+
+
+def default_ps(S) -> list:
+    """The exponents of a report on S that is given none."""
+    return default_p_list(mpmath.log(to_real(S.max_lip())))
+
+
+def spread_set(maps, pieces) -> GeneratorSet:
+    """`maps` spread maps of `pieces` pieces each, drawn with the seed `maps`."""
+    rng = random.Random(maps)
+    return GeneratorSet("s", tuple((f"g{i}", spread_map(rng, pieces)) for i in range(maps)))
+
+
+# (maps, pieces, p list, schedule) of the cost formulas
+COST_SIZES = [
+    (1, 3, [2], [1]),
+    (2, 7, [3, 2], [F(1, 2), 4, 16]),
+    (3, 12, [2, 4, F(5, 2)], [1, 2, 3, 5, 8]),
+    (5, 20, [16, 2, 4, 8], [2**k for k in range(8)]),
+    (8, 37, [2, 3, 4, 8, 16, 64], [2**k for k in range(13)]),
+]
+
+# the arithmetic operators of mpf, each side
+MPF_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
 
 
 class Reads(collections.abc.Sequence):
@@ -495,14 +523,13 @@ class TestOperationBudget:
 
     def test_random_8x40_report(self, monkeypatch):
         S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
-        L, M = S.max_lip(), S.max_displacement()
-        formula = to_real_count(S, default_p_list(L), default_n_schedule(M), True)
+        formula = to_real_count(default_ps(S))
         calls = report_calls(monkeypatch, S)
         to_reals = calls.pop("to_real")
         assert calls == {
-            "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "exp": 1560, "log": 319,
+            "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "exp": 1560, "log": 313,
         }
-        assert to_reals <= 63
+        assert to_reals <= 18
         assert to_reals == formula
 
     @pytest.mark.skipif(
@@ -513,37 +540,21 @@ class TestOperationBudget:
         # the window kernel, the global fixed set's intersection and the
         # test of n > M order on integers; what is left is the max that
         # lipschitz_data takes for L and M (14), the check n <= 0 of each
-        # schedule entry (13), and one comparison each in
-        # default_n_schedule and default_p_list
+        # schedule entry (13), and one comparison in default_n_schedule; the
+        # default p list reads log L, with no comparison of L
         S = GeneratorSet.from_json((GOLDEN_BOUND / "inputs" / "random_8x40.json").read_text())
         calls = collections.Counter()
         for name in ("_richcmp", "__eq__"):
-            method = getattr(F, name)
-
-            def counted(*args, method=method):
-                calls["compare"] += 1
-                return method(*args)
-
-            monkeypatch.setattr(F, name, counted)
+            monkeypatch.setattr(F, name, counted(calls, "compare", getattr(F, name)))
         bound_report(S)
-        assert calls["compare"] <= 29
+        assert calls["compare"] <= 28
 
-    @pytest.mark.parametrize(
-        "maps,pieces,p_list,schedule",
-        [
-            (1, 3, [2], [1]),
-            (2, 7, [3, 2], [F(1, 2), 4, 16]),
-            (3, 12, [2, 4, F(5, 2)], [1, 2, 3, 5, 8]),
-            (5, 20, [16, 2, 4, 8], [2**k for k in range(8)]),
-            (8, 37, [2, 3, 4, 8, 16, 64], [2**k for k in range(13)]),
-        ],
-    )
+    @pytest.mark.parametrize("maps,pieces,p_list,schedule", COST_SIZES)
     def test_costs_as_formulas(self, monkeypatch, maps, pieces, p_list, schedule):
         # one WindowMap per map, one profile per (map, p) and one cut per
         # (map, n); an exp per piece and p that is neither 1 nor 2, a log
-        # per piece, one log L per p other than 2 and one for phi_inv(L)
-        rng = random.Random(maps)
-        S = GeneratorSet("s", tuple((f"g{i}", spread_map(rng, pieces)) for i in range(maps)))
+        # per piece and one log L per report
+        S = spread_set(maps, pieces)
         total = sum(len(g.nodes) - 1 for _, g in S.generators)
         # the cut of a window n < N0(g) evaluates g at -n and n, and g^{-1}
         # too when the window meets its image; from N0 on it evaluates none
@@ -559,8 +570,24 @@ class TestOperationBudget:
         assert calls["cut"] == maps * len(schedule)
         assert calls["evaluate_sorted"] == evaluations
         assert calls["exp"] == total * sum(p not in (1, 2) for p in p_list)
-        assert calls["log"] == total + sum(p != 2 for p in p_list) + 1
-        assert calls["to_real"] == to_real_count(S, p_list, schedule)
+        assert calls["log"] == total + 1
+        assert calls["to_real"] == to_real_count(p_list)
+
+    @pytest.mark.parametrize("maps,pieces,p_list,schedule", COST_SIZES)
+    def test_warm_report_makes_no_mpf_arithmetic(self, monkeypatch, maps, pieces, p_list, schedule):
+        # the report's reals run on raw values and make one mpf per output
+        # value, so a report that reads its window data from the maps calls
+        # no mpf operator, in any cell or anywhere else
+        S = spread_set(maps, pieces)
+        bound_report(S, p_list, schedule)
+        calls = collections.Counter()
+        for name in MPF_OPERATORS:
+            monkeypatch.setattr(mpf, name, counted(calls, name, getattr(mpf, name)))
+        assert mpf(1) + 1 == 2 and calls == {"__add__": 1}
+        calls.clear()
+        report = bound_report(S, p_list, schedule)
+        assert len(report.sweep) == len(p_list) * len(schedule)
+        assert calls == {}
 
     @pytest.mark.parametrize("k", [10, 100, 10_000])
     def test_cold_cut_reads_logarithmic(self, k):
@@ -573,11 +600,11 @@ class TestOperationBudget:
         g = PLHomeo(tuple((x - 5 * k, y - 5 * k) for x, y in g.nodes))
         wm = koopman.WindowMap.of(g)
         reads = collections.Counter()
-        counted = wm._replace(xs=Reads(wm.xs, reads), ys=Reads(wm.ys, reads))
+        reading = wm._replace(xs=Reads(wm.xs, reads), ys=Reads(wm.ys, reads))
         for share in (F(1, 3), F(1, 2), F(9, 10)):
             n = wm.n0 * share
             reads.clear()
-            cut = counted.cut(n)
+            cut = reading.cut(n)
             assert cut == wm.cut(n) and not cut.covers_nodes and len(cut.full) > k // 10
             assert 0 < reads["read"] <= 20 * math.log2(k), reads
 
@@ -605,22 +632,15 @@ class TestWindowRecord:
     def test_repeated_report_builds_nothing(self, monkeypatch):
         S = random_8x40()
         cold = bound_report(S)
-        L, M = S.max_lip(), S.max_displacement()
-        to_reals = to_real_count(S, default_p_list(L), default_n_schedule(M), True)
+        to_reals = to_real_count(default_ps(S))
         kernel = collections.Counter()
         for name in ("mpf_exp", "mpf_log"):
-            f = getattr(koopman, name)
-
-            def counted(*args, f=f, name=name):
-                kernel[name] += 1
-                return f(*args)
-
-            monkeypatch.setattr(koopman, name, counted)
+            monkeypatch.setattr(koopman, name, counted(kernel, name, getattr(koopman, name)))
         calls = report_calls(monkeypatch, S)
         assert kernel == {}
-        # log L for the default p list, for each of its five p (all other
-        # than 2) and for phi_inv(L), and the to_real calls of a cold report
-        assert calls == {"log": 7, "to_real": to_reals}
+        # log L once, for the default p list, every proof bound and
+        # phi_inv(L), and the to_real calls of a cold report
+        assert calls == {"log": 1, "to_real": to_reals}
         assert report_bits(bound_report(S)) == report_bits(cold)
 
     @pytest.mark.parametrize("digits", [15, 30, 50])
@@ -656,13 +676,7 @@ class TestWindowRecord:
         S = GeneratorSet("s", tuple((f"g{i}", g) for i, g in enumerate(maps)))
         schedule = [1, 4, 16, 64]
         calls = collections.Counter()
-        at = koopman.WindowMap.at
-
-        def counted(self, p):
-            calls["at"] += 1
-            return at(self, p)
-
-        monkeypatch.setattr(koopman.WindowMap, "at", counted)
+        monkeypatch.setattr(koopman.WindowMap, "at", counted(calls, "at", koopman.WindowMap.at))
         for i in range(200):
             bound_report(S, [2 + F(i, 8)], schedule)
         assert calls["at"] == 200 * len(maps)
@@ -679,3 +693,45 @@ class TestWindowRecord:
         for (_, g), (_, h) in zip(S.generators, fresh.generators):
             assert "_window" in vars(g) and "_window" not in vars(h)
             assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+
+class TestReportRealsOracle:
+    """The proof bounds, transfers, phi_inv branches and headline of a
+    report against their mpf expressions in tests/oracles.py, bit for bit.
+    Each set has L < e^2, so every exponent here exceeds log L, and a
+    schedule with cells on both sides of n = M."""
+
+    SETS = [
+        BUMP_T,
+        GeneratorSet("steep-translation", (("s", PLHomeo.from_pairs([(0, 0), (1, 7), (2, 8)])), ("t", T1))),
+        spread_set(3, 12),
+    ]
+
+    @pytest.mark.parametrize("digits", [15, 30, 50])
+    @pytest.mark.parametrize("S", SETS, ids=["bump-translation", "steep-translation", "spread"])
+    def test_bits(self, S, digits):
+        p_list = [2, 2.1, 2.5, 3, 7, 16, 64]
+        L, M = S.max_lip(), S.max_displacement()
+        schedule = [M / 3, M, M + F(1, 7), 3 * M, F(1000, 7) * M]
+        with precision(digits):
+            report = bound_report(S, p_list, schedule)
+            for c in report.sweep:
+                assert c.kappa_upper._mpf_ == oracles.transfer(c.p, c.distortion)._mpf_
+                assert kappa_transfer(c.p, c.distortion)._mpf_ == c.kappa_upper._mpf_
+                if c.n <= M:
+                    assert c.proof_bound is None
+                    continue
+                if c.p == 2:
+                    want = oracles.lemma41_proof_bound(c.n, L, M)
+                else:
+                    want = oracles.lp_proof_bound(c.n, c.p, L, M)
+                assert c.proof_bound._mpf_ == want._mpf_
+            log_branch, sqrt_branch = oracles.phi_inv_branches(to_real(L))
+            assert report.lemma43_bound._mpf_ == log_branch._mpf_
+            assert report.lemma41_bound._mpf_ == sqrt_branch._mpf_
+            assert report.phi_inv_of_L._mpf_ == min(log_branch, sqrt_branch)._mpf_
+            assert report.headline._mpf_ == oracles.headline(L, report.sweep)._mpf_
+            assert [x._mpf_ for x in bounds.phi_inv_branches(to_real(L))] == [
+                log_branch._mpf_, sqrt_branch._mpf_
+            ]
+        assert sum(c.proof_bound is None for c in report.sweep) == 2 * len(p_list)

@@ -23,6 +23,12 @@ THOMPSON_F = GeneratorSet.from_json((GALLERY / "thompson_F.json").read_text())
 BUMPS = GeneratorSet.from_json((GALLERY / "commuting_bumps.json").read_text())
 
 F_SPHERES = [1, 4, 12, 36, 108, 314, 906, 2576, 7280]
+# a bump on [0, 2] and the translation by 1, the generators of the balls
+# that the exact-group benchmark builds
+BUMP_T = GeneratorSet(
+    "bump-translation",
+    (("a", PLHomeo.from_pairs([(0, 0), (1, F(3, 2)), (2, 2)])), ("t", PLHomeo.translation(1))),
+)
 
 
 def inverse(text: str) -> str:
@@ -64,6 +70,30 @@ def f_ball():
     return elems, calls
 
 
+def compose_formula(S, elems, radius) -> int:
+    """The compose calls of ball(S, radius) = elems for k generators:
+    2k + (2k - 1)(|B_{r-1}| - 1), 2k steps from the identity and 2k - 1
+    from each other element inside radius r - 1, every letter but the one
+    back to its parent."""
+    steps = 2 * len(S.generators)
+    inner = sum(len(word) < radius for _, word in elems)
+    return steps + (steps - 1) * (inner - 1)
+
+
+@pytest.mark.parametrize(
+    "S,radius,composes",
+    [(THOMPSON_F, r, 4 + 3 * (sum(F_SPHERES[:r]) - 1)) for r in range(1, 8)]
+    + [(BUMP_T, r, c) for r, c in zip(range(1, 7), (4, 16, 52, 160, 484, 1456))],
+    ids=[f"F-{r}" for r in range(1, 8)] + [f"bump-translation-{r}" for r in range(1, 7)],
+)
+def test_ball_compose_formula(S, radius, composes):
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLHomeo, "compose", counted(calls, "compose", PLHomeo.compose))
+        elems = ball(S, radius)
+    assert calls["compose"] == compose_formula(S, elems, radius) == composes
+
+
 CPYTHON_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="fractions builds its results differently in other versions",
@@ -102,9 +132,9 @@ class TestThompsonF:
         assert len(elems) == sum(F_SPHERES) == 11237
 
     def test_ball_compose_budget(self, f_ball):
-        # 4 steps from the identity, 3 from each other element inside radius 7
+        # radius 8 of test_ball_compose_formula, on the shared ball
         elems, calls = f_ball
-        assert calls["compose"] == 4 + 3 * (sum(F_SPHERES[:8]) - 1) == 11872
+        assert calls["compose"] == compose_formula(THOMPSON_F, elems, 8) == 11872
 
     def test_ball_reduces_no_word(self, f_ball):
         # each new word extends a reduced word by a letter that does not

@@ -1,6 +1,7 @@
 """Turn parent/change benchmark runs into one BENCH_<pr>.json record.
 
-    python3 tools/bench_record.py --parent PARENT/.bench_out --change .bench_out --pr N
+    python3 tools/bench_record.py --parent PARENT/.bench_out --change .bench_out --pr N \
+        [--claim WORKLOAD/METRIC]
 
 Each directory holds the result files that `benchmarks/run.py` writes,
 `result-<workload>-seed<N>-trace0.json`. A run of the parent and a run of
@@ -25,6 +26,10 @@ the runs that were not correct and the failed operations, and copies the
 result files' provenance: a field every run of a side
 shares is given once, any other as the sorted list of its values (objects
 field by field).
+
+With `--claim WORKLOAD/METRIC` it still writes the record, but exits 1
+unless that pair's verdict is gain and no pair's verdict is worse, and
+prints each pair that fails the claim with its verdict.
 
 Only the standard library is used.
 """
@@ -131,6 +136,21 @@ def record(parent: dict, change: dict, metrics: list, pr) -> dict:
     return {"pr": pr, "workloads": workloads}
 
 
+def claim_failures(rec: dict, claim: str) -> list:
+    """(workload/metric, verdict) of each pair that fails the claim that
+    `claim`, a WORKLOAD/METRIC pair, gained: the claimed pair unless its
+    verdict is gain (`missing` when the record has no such pair), and every
+    pair whose verdict is worse."""
+    workload, _, metric = claim.partition("/")
+    claimed = rec["workloads"].get(workload, {}).get("metrics", {}).get(metric)
+    verdict = claimed["verdict"] if claimed else "missing"
+    failures = [] if verdict == "gain" else [(claim, verdict)]
+    for name, data in rec["workloads"].items():
+        failures += [(f"{name}/{m}", v["verdict"]) for m, v in data["metrics"].items()
+                     if v["verdict"] == "worse" and f"{name}/{m}" != claim]
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="the parent's .bench_out")
@@ -138,6 +158,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, type=int, help="the number in BENCH_<pr>.json")
     parser.add_argument("--seeds", default=None, help="FIRST-LAST: only runs with these seeds")
     parser.add_argument("--out", type=Path, default=None, help="default: BENCH_<pr>.json at the root")
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD/METRIC",
+                        help="exit 1 unless this pair's verdict is gain and no pair's is worse")
     args = parser.parse_args(argv)
     seeds = None
     if args.seeds:
@@ -158,6 +180,11 @@ def main(argv=None) -> int:
             print(f"{workload:16s} {name:13s} {m['parent']['median']:12.6g} -> "
                   f"{m['change']['median']:12.6g} {m['unit']:4s} won {m['pairs_won']}/{m['pairs']} "
                   f"{m['verdict']}")
+    if args.claim:
+        failures = claim_failures(rec, args.claim)
+        for pair, verdict in failures:
+            print(f"claim {args.claim} fails: {pair} is {verdict}", file=sys.stderr)
+        return 1 if failures else 0
     return 0
 
 
