@@ -96,9 +96,10 @@ class GeneratorSet:
         if len(set(labels)) != len(labels):
             raise DomainError("generator labels must be distinct")
         if self.symmetric:
-            elems = {g.nodes for _, g in self.generators}
-            for _, g in self.generators:
-                if g.invert().nodes not in elems:
+            # maps hash and compare on their nodes' integer pairs
+            elems = {g for _, g in self.generators}
+            for g in elems:
+                if g.invert() not in elems:
                     raise DomainError(
                         "symmetric flag set but the set is not closed under inversion"
                     )

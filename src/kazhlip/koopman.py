@@ -221,9 +221,8 @@ def window_vector(n, p) -> StepFunction:
 # cut builds no Fraction but the window's end -n and the values that
 # evaluate_sorted returns.
 #
-# The window classes are NamedTuples rather than dataclasses: every CLI
-# process imports this module, and a frozen dataclass takes about 1.5 ms
-# to build.
+# WindowMap is a NamedTuple rather than a dataclass: every CLI process
+# imports this module, and a frozen dataclass takes about 1.5 ms to build.
 
 
 def _meet(lo, hi, a, b):
@@ -264,7 +263,7 @@ class WindowMap(NamedTuple):
             from_rational(den, num, prec, ROUNDING) for num, den in _slope_pairs(g.nodes)[1:-1]
         )
         # mpf ** takes its logarithm with 10 extra bits, as mpmath.log does
-        # under extraprec(10); so does this, and the weights in `at` keep
+        # under extraprec(10); so does this, and the weights in `row` keep
         # the digits of s ** (1 / p).
         log_slopes = tuple(mpf_log(s, prec + 10, ROUNDING) for s in slopes)
         # every length is an unreduced integer cross-product, rounded once
@@ -290,13 +289,18 @@ class WindowMap(NamedTuple):
             n0=Fraction(*n0),
         )
 
-    def cut(self, n: Fraction) -> "WindowCut":
-        """How the window [-n, n], n > 0, meets the map: two bisections
-        of the y_j, whatever the number of pieces."""
+    def cut(self, n: Fraction):
+        """How the window [-n, n], n > 0, meets the map, found by two
+        bisections of the y_j whatever the number of pieces: None once the
+        window holds every node (n >= N0), when 2n d^p is the constant K.
+        Otherwise the triple (exact, full, partial): the exact part
+        4n - |O| - |g^{-1}(O)| as a raw value, the range of the pieces
+        [y_j, y_{j+1}] inside O, and a pair (j, raw length of the piece
+        inside O) for each piece that O cuts short."""
         p, q = n.as_integer_ratio()
         u, v = self.n0.as_integer_ratio()
         if p * v >= u * q:
-            return WindowCut(covers_nodes=True)
+            return None
         xs, ys, prec = self.xs, self.ys, mpmath.mp.prec
         window = (-n, n)
         ends = (-p, q), (p, q)
@@ -304,7 +308,7 @@ class WindowMap(NamedTuple):
         lo, hi = _meet(g_lo.as_integer_ratio(), g_hi.as_integer_ratio(), *ends)
         (ln, ld), (hn, hd) = lo, hi
         if ln * hd >= hn * ld:
-            return WindowCut(covers_nodes=False, exact=from_rational(4 * p, q, prec, ROUNDING))
+            return from_rational(4 * p, q, prec, ROUNDING), range(0), ()
         inv_lo, inv_hi = evaluate_sorted(ys, xs, window)
         # 4n - |O| - |g^{-1}(O)|, where g^{-1}(O) = [-n, n] cap g^{-1}[-n, n]
         (s, t), (e, f) = _length(lo, hi), _length(
@@ -326,85 +330,46 @@ class WindowMap(NamedTuple):
             y0, y1 = ys[j].as_integer_ratio(), ys[j + 1].as_integer_ratio()
             length = _length(*_meet(y0, y1, lo, hi))
             partial.append((j, from_rational(*length, prec, ROUNDING)))
-        return WindowCut(covers_nodes=False, exact=exact, full=range(a, b), partial=tuple(partial))
+        return exact, range(a, b), tuple(partial)
 
-    def at(self, p) -> "WindowProfile":
-        """The per-piece weights and the constant K at exponent p. The
-        arithmetic runs on raw libmp values, with the operations and the
-        rounding of the mpf expressions |s^{1/p} - 1|^p, w_j (y_{j+1} - y_j)
-        and tails + fsum(masses), so it gives their bits. p is a real that
-        check_exponent returned."""
+    def row(self, p, cuts) -> tuple:
+        """2n ||pi(g) xi_n - xi_n||_p^p at exponent p for the window of each
+        cut, as raw libmp values. The arithmetic runs with the operations
+        and the rounding of the mpf expressions |s^{1/p} - 1|^p,
+        w_j (y_{j+1} - y_j), K = tails + fsum(masses) and the cut's exact
+        part plus its pieces, so it gives their bits. p is a real that
+        check_exponent returned, with p >= 2 as a report takes it."""
         prec, q = mpmath.mp.prec, p._mpf_
         r = mpf_rdiv_int(1, q, prec, ROUNDING)  # 1 / p
-        # mpf ** needs no logarithm at 1 / p = 1 (s itself) or 1/2 (a
-        # square root)
-        if r == fone:
-            roots = self.slopes
-        elif r == fhalf:
+        if r == fhalf:  # mpf ** takes a square root, and no logarithm
             roots = [mpf_sqrt(s, prec, ROUNDING) for s in self.slopes]
         else:
             # r log s_j is exact, as mpmath.fmul(..., exact=True)
             roots = [mpf_exp(mpf_mul(r, c), prec, ROUNDING) for c in self.log_slopes]
         # mpf_pow takes the integer power that mpf ** p takes when p is an
         # integer
-        weights = tuple(
+        weights = [
             mpf_pow(mpf_abs(mpf_sub(x, fone, prec, ROUNDING)), q, prec, ROUNDING) for x in roots
-        )
-        masses = tuple(
-            mpf_mul(w, length, prec, ROUNDING) for w, length in zip(weights, self.lengths)
-        )
+        ]
+        masses = [mpf_mul(w, length, prec, ROUNDING) for w, length in zip(weights, self.lengths)]
         # mpf_sum is the exact sum, rounded once, that mpmath.fsum takes
         constant = mpf_add(self.tails, mpf_sum(masses, prec, ROUNDING), prec, ROUNDING)
-        return WindowProfile(weights, masses, constant)
-
-
-class WindowCut(NamedTuple):
-    """How one window [-n, n] meets one map: the exact part
-    4n - |O| - |g^{-1}(O)|, the pieces [y_j, y_{j+1}] inside O and the
-    lengths of those that O cuts short, as raw libmp values. None of this
-    is needed once the window covers every node (n >= N0)."""
-
-    covers_nodes: bool
-    exact: tuple = fzero
-    full: range = range(0)
-    partial: Tuple[Tuple[int, tuple], ...] = ()
-
-
-class WindowProfile(NamedTuple):
-    """One map's window data at one exponent p, as raw libmp values
-    (`mpf._mpf_`) at the working precision."""
-
-    weights: Tuple[tuple, ...]  # w_j
-    masses: Tuple[tuple, ...]   # w_j (y_{j+1} - y_j)
-    constant: tuple             # K
-
-    def scaled_power(self, cut: WindowCut) -> tuple:
-        """2n ||pi(g) xi_n - xi_n||_p^p for the window that `cut` describes,
-        as a raw libmp value."""
-        if cut.covers_nodes:
-            return self.constant
-        # Summed piece by piece rather than as a difference of prefix sums:
-        # at large p the weights span hundreds of orders of magnitude, and
-        # heavy pieces outside O would cancel the light ones inside.
-        prec, masses, weights = mpmath.mp.prec, self.masses, self.weights
-        total = cut.exact
-        for j in cut.full:
-            total = mpf_add(total, masses[j], prec, ROUNDING)
-        for j, length in cut.partial:
-            total = mpf_add(total, mpf_mul(weights[j], length, prec, ROUNDING), prec, ROUNDING)
-        return total
-
-
-class WindowRecord(NamedTuple):
-    """What a map keeps of its latest window report: the working precision,
-    the report's radii n as integer pairs n.as_integer_ratio() and its
-    exponents p as raw values p._mpf_, and for each exponent the row of raw
-    powers 2n ||pi(g) xi_n - xi_n||_p^p over those radii."""
-
-    prec: int
-    radii: tuple
-    exponents: tuple
-    rows: tuple
+        out = []
+        for cut in cuts:
+            if cut is None:
+                out.append(constant)
+                continue
+            # Summed piece by piece rather than as a difference of prefix
+            # sums: at large p the weights span hundreds of orders of
+            # magnitude, and heavy pieces outside O would cancel the light
+            # ones inside.
+            total, full, partial = cut
+            for j in full:
+                total = mpf_add(total, masses[j], prec, ROUNDING)
+            for j, length in partial:
+                total = mpf_add(total, mpf_mul(weights[j], length, prec, ROUNDING), prec, ROUNDING)
+            out.append(total)
+        return tuple(out)
 
 
 def window_powers(g: PLHomeo, ns, ps) -> tuple:
@@ -412,21 +377,23 @@ def window_powers(g: PLHomeo, ns, ps) -> tuple:
     window [-n, n], n in ns. Each p is a real that check_exponent returned.
 
     g keeps the rows of its latest report in the attribute `_window`, which
-    is no dataclass field: equality, hashing and repr ignore it. A report
-    with the same schedule and exponents at the same precision reads them
-    and builds nothing; any other builds g's WindowMap, every cut and every
-    row again, and replaces the record. Only the rows are kept, one real
-    per window and exponent: a map of 40 nodes reported on at 13 windows
-    and 3 exponents keeps 39 reals, where its WindowMap and profiles would
-    hold 351."""
+    is no dataclass field: equality, hashing and repr ignore it. The record
+    is the pair (key, rows), with the key the working precision, the radii
+    n as integer pairs n.as_integer_ratio() and the exponents p as raw
+    values p._mpf_. A report with the same key reads the rows and builds
+    nothing; any other builds g's WindowMap, every cut and every row again,
+    and replaces the record. Only the rows are kept, one real per window
+    and exponent: a map of 40 nodes reported on at 13 windows and 3
+    exponents keeps 39 reals, where its WindowMap and per-exponent weights
+    and masses would hold 351."""
     key = (mpmath.mp.prec, tuple(n.as_integer_ratio() for n in ns), tuple(p._mpf_ for p in ps))
     record = g.__dict__.get("_window")
-    if record is not None and record[:3] == key:
-        return record.rows
+    if record is not None and record[0] == key:
+        return record[1]
     window = WindowMap.of(g)
     cuts = [window.cut(n) for n in ns]
-    rows = tuple(tuple(map(window.at(p).scaled_power, cuts)) for p in ps)
-    object.__setattr__(g, "_window", WindowRecord(*key, rows))  # g is frozen
+    rows = tuple(window.row(p, cuts) for p in ps)
+    object.__setattr__(g, "_window", (key, rows))  # g is frozen
     return rows
 
 

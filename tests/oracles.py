@@ -12,7 +12,7 @@ import mpmath
 from mpmath import mpf
 
 from kazhlip import IntervalUnion, PLHomeo, StepFunction
-from kazhlip.koopman import WindowCut, check_exponent, refine
+from kazhlip.koopman import check_exponent, refine
 from kazhlip.plmap import evaluate_sorted, format_rational
 from kazhlip.precision import to_real
 from kazhlip.verify import random_rational
@@ -197,20 +197,22 @@ def normalize(xi: StepFunction, p) -> StepFunction:
 # The window estimator's per-piece loops as mpf expressions. The library
 # runs them on raw libmp values and finds the pieces inside a window by
 # bisection; these are the references it must agree with, bit for bit.
-# The window classes hold raw values, which these read and build through mpf.
+# A WindowMap and its cuts hold raw values, which these read and build
+# through mpf. A cut is None from N0 on, and otherwise the plain triple
+# (exact, full, partial) that WindowMap.cut returns.
 
 _make = mpmath.mp.make_mpf
 
 
-def window_cut(wm, n) -> WindowCut:
+def window_cut(wm, n):
     """WindowMap.cut by a scan over every piece that meets O."""
     if n >= wm.n0:
-        return WindowCut(covers_nodes=True)
+        return None
     xs, ys = wm.xs, wm.ys
     g_lo, g_hi = evaluate_sorted(xs, ys, (-n, n))
     lo, hi = max(g_lo, -n), min(g_hi, n)
     if lo >= hi:
-        return WindowCut(covers_nodes=False, exact=to_real(4 * n)._mpf_)
+        return to_real(4 * n)._mpf_, range(0), ()
     inv_lo, inv_hi = evaluate_sorted(ys, xs, (-n, n))
     preimage = min(inv_hi, n) - max(inv_lo, -n)
     full, partial = [], []
@@ -222,19 +224,18 @@ def window_cut(wm, n) -> WindowCut:
         elif a < b:
             partial.append((j, to_real(b - a)._mpf_))
         j += 1
-    return WindowCut(
-        covers_nodes=False,
-        exact=to_real(4 * n - (hi - lo) - preimage)._mpf_,
-        full=range(full[0], full[-1] + 1) if full else range(0),
-        partial=tuple(partial),
+    return (
+        to_real(4 * n - (hi - lo) - preimage)._mpf_,
+        range(full[0], full[-1] + 1) if full else range(0),
+        tuple(partial),
     )
 
 
 def window_profile(wm, p):
-    """(weights, masses, K) of WindowMap.at as mpf expressions."""
+    """The weights, masses and K of WindowMap.row at p as mpf expressions."""
     p = to_real(p)
     r = 1 / p
-    if r == 1 or r == 0.5:
+    if r == 0.5:
         roots = [_make(s) ** r for s in wm.slopes]
     else:
         roots = [mpmath.exp(mpmath.fmul(r, _make(c), exact=True)) for c in wm.log_slopes]
@@ -243,16 +244,17 @@ def window_profile(wm, p):
     return weights, masses, _make(wm.tails) + mpmath.fsum(masses)
 
 
-def scaled_power(profile, cut: WindowCut) -> mpf:
-    """WindowProfile.scaled_power, from the mpf (weights, masses, K) of
-    `window_profile`."""
+def scaled_power(profile, cut) -> mpf:
+    """One entry of WindowMap.row, from the mpf (weights, masses, K) of
+    `window_profile` and a cut."""
     weights, masses, constant = profile
-    if cut.covers_nodes:
+    if cut is None:
         return constant
-    total = _make(cut.exact)
-    for j in cut.full:
+    exact, full, partial = cut
+    total = _make(exact)
+    for j in full:
         total += masses[j]
-    for j, length in cut.partial:
+    for j, length in partial:
         total += weights[j] * _make(length)
     return total
 

@@ -441,7 +441,7 @@ def report_calls(monkeypatch, S, *args) -> collections.Counter:
     window = koopman.WindowMap
     monkeypatch.setattr(window, "of", staticmethod(counted(calls, "of", window.of)))
     monkeypatch.setattr(window, "cut", counted(calls, "cut", window.cut))
-    monkeypatch.setattr(window, "at", counted(calls, "at", window.at))
+    monkeypatch.setattr(window, "row", counted(calls, "row", window.row))
     # every module that calls a name imported it into its own namespace
     evaluate_sorted = counted(calls, "evaluate_sorted", plmap.evaluate_sorted)
     for module in (plmap, koopman):
@@ -527,7 +527,7 @@ class TestOperationBudget:
         calls = report_calls(monkeypatch, S)
         to_reals = calls.pop("to_real")
         assert calls == {
-            "of": 8, "cut": 104, "at": 48, "evaluate_sorted": 112, "exp": 1560, "log": 313,
+            "of": 8, "cut": 104, "row": 48, "evaluate_sorted": 112, "exp": 1560, "log": 313,
         }
         assert to_reals <= 18
         assert to_reals == formula
@@ -551,9 +551,9 @@ class TestOperationBudget:
 
     @pytest.mark.parametrize("maps,pieces,p_list,schedule", COST_SIZES)
     def test_costs_as_formulas(self, monkeypatch, maps, pieces, p_list, schedule):
-        # one WindowMap per map, one profile per (map, p) and one cut per
-        # (map, n); an exp per piece and p that is neither 1 nor 2, a log
-        # per piece and one log L per report
+        # one WindowMap per map, one row per (map, p) and one cut per
+        # (map, n); an exp per piece and p other than 2, a log per piece and
+        # one log L per report
         S = spread_set(maps, pieces)
         total = sum(len(g.nodes) - 1 for _, g in S.generators)
         # the cut of a window n < N0(g) evaluates g at -n and n, and g^{-1}
@@ -566,10 +566,10 @@ class TestOperationBudget:
                     evaluations += 2 if max(g(-n), -n) < min(g(n), n) else 1
         calls = report_calls(monkeypatch, S, p_list, schedule)
         assert calls["of"] == maps
-        assert calls["at"] == maps * len(p_list)
+        assert calls["row"] == maps * len(p_list)
         assert calls["cut"] == maps * len(schedule)
         assert calls["evaluate_sorted"] == evaluations
-        assert calls["exp"] == total * sum(p not in (1, 2) for p in p_list)
+        assert calls["exp"] == total * sum(p != 2 for p in p_list)
         assert calls["log"] == total + 1
         assert calls["to_real"] == to_real_count(p_list)
 
@@ -605,7 +605,7 @@ class TestOperationBudget:
             n = wm.n0 * share
             reads.clear()
             cut = reading.cut(n)
-            assert cut == wm.cut(n) and not cut.covers_nodes and len(cut.full) > k // 10
+            assert cut == wm.cut(n) and cut is not None and len(cut[1]) > k // 10
             assert 0 < reads["read"] <= 20 * math.log2(k), reads
 
 
@@ -676,16 +676,17 @@ class TestWindowRecord:
         S = GeneratorSet("s", tuple((f"g{i}", g) for i, g in enumerate(maps)))
         schedule = [1, 4, 16, 64]
         calls = collections.Counter()
-        monkeypatch.setattr(koopman.WindowMap, "at", counted(calls, "at", koopman.WindowMap.at))
+        monkeypatch.setattr(koopman.WindowMap, "row", counted(calls, "row", koopman.WindowMap.row))
         for i in range(200):
             bound_report(S, [2 + F(i, 8)], schedule)
-        assert calls["at"] == 200 * len(maps)
+        assert calls["row"] == 200 * len(maps)
         p_last = to_real(2 + F(199, 8))
         for g in maps:
-            record = g._window
-            assert record.radii == tuple((n, 1) for n in schedule)
-            assert record.exponents == (p_last._mpf_,)
-            assert len(record.rows) == 1 and len(record.rows[0]) == len(schedule)
+            (prec, radii, exponents), rows = g._window
+            assert prec == mpmath.mp.prec
+            assert radii == tuple((n, 1) for n in schedule)
+            assert exponents == (p_last._mpf_,)
+            assert len(rows) == 1 and len(rows[0]) == len(schedule)
 
     def test_equality_ignores_the_record(self):
         S, fresh = random_8x40(), random_8x40()

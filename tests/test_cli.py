@@ -333,6 +333,34 @@ class TestGroupCommands:
         code, out, err = run(capsys, "lip", str(bad))
         assert code == 2 and "generator_set.name" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "labels,symmetric",
+        [(("a", "a"), False), (("a", "b"), True)],
+        ids=["duplicate-labels", "false-symmetric-flag"],
+    )
+    def test_invalid_set_exit_2(self, capsys, tmp_path, labels, symmetric):
+        # GeneratorSet's own checks raise DomainError; from_obj reports it
+        # as a SchemaError at the set's path
+        bump = {"nodes": [["0", "0"], ["1", "2"], ["3", "3"]]}
+        shift = {"nodes": [["0", "1"]]}
+        bad = tmp_path / "set.json"
+        bad.write_text(json.dumps({"name": "x", "symmetric": symmetric, "generators": [
+            {"label": labels[0], "map": bump}, {"label": labels[1], "map": shift},
+        ]}))
+        code, out, err = run(capsys, "lip", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: generator_set: "), err
+
+    def test_symmetric_inverse_with_int_nodes(self, capsys, tmp_path):
+        # the inverse written with JSON ints where the map has strings
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"name": "x", "symmetric": True, "generators": [
+            {"label": "b", "map": {"nodes": [["0", "0"], ["1", "2"], ["3", "3"]]}},
+            {"label": "B", "map": {"nodes": [[0, 0], [2, 1], [3, 3]]}},
+        ]}))
+        code, out, _ = run(capsys, "lip", str(path))
+        assert code == 0 and "L = 2" in out
+
     def test_small_float_node_kept_exact(self, capsys, tmp_path):
         path = tmp_path / "small.json"
         path.write_text(json.dumps({"name": "x", "generators": [

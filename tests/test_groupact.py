@@ -184,6 +184,13 @@ class TestGeneratorSet:
             gens(("t", T1), symmetric=True)
         S = gens(("t", T1), ("T", T1.invert()), symmetric=True)
         assert S.symmetric
+        # an inverse given with int nodes matches one built from Fractions
+        b = PLHomeo(((0, 0), (1, 2), (3, 3)))
+        B = PLHomeo(((F(0), F(0)), (F(2), F(1)), (F(3), F(3))))
+        assert type(b.nodes[1][1]) is int and b.invert() == B
+        assert gens(("b", b), ("B", B), symmetric=True).symmetric
+        with pytest.raises(DomainError, match="not closed under inversion"):
+            gens(("b", b), ("B", B.compose(B)), symmetric=True)
 
     def test_json_round_trip(self):
         S = gens(("a", BUMP_A), ("t", T1), name="roundtrip")

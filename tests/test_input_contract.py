@@ -22,6 +22,7 @@ from kazhlip import (
     PLHomeo,
     ResourceLimitError,
     SchemaError,
+    StepFunction,
     Word,
     ball,
     bound_report,
@@ -29,10 +30,12 @@ from kazhlip import (
     log_power_bound_check,
     lp_norm,
     mazur_map,
+    normalize,
     phi,
 )
 from kazhlip.cli import main
-from kazhlip.figures import phi_branch_table
+from kazhlip.figures import phi_branch_table, phi_inv_branch_table
+from kazhlip.plmap import format_rational, parse_rational
 from oracles import indicator
 
 CONTRACT = (SchemaError, DomainError, ResourceLimitError)
@@ -319,3 +322,54 @@ class TestRealArguments:
     def test_ball_radius(self, radius):
         with pytest.raises(DomainError, match="^radius must be an int >= 0"):
             ball(BUMP_T, radius)
+
+
+class TestConstructorChecks:
+    """Each check of a constructor or reader on a value it refuses: the
+    exception type, and the field or the rule that its message names."""
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: StepFunction((0, 1, 2), (mpf(1), mpf("inf"))), DomainError,
+             r"values\[1\]: step function values must be finite$"),
+            (lambda: StepFunction((0,), ()), DomainError,
+             r"a step function needs at least two breakpoints$"),
+            (lambda: StepFunction((0, 1, 2), (mpf(1),)), DomainError,
+             r"3 breakpoints require 2 values, got 1$"),
+            (lambda: StepFunction((0, 2, 2), (mpf(1), mpf(1))), DomainError,
+             r"breakpoints\[2\]: not strictly increasing at 2$"),
+            (lambda: normalize(indicator(0, 1, 0), 2), DomainError,
+             r"cannot normalize the zero function$"),
+            (lambda: parse_rational(True, "nodes[0][1]"), SchemaError,
+             r"nodes\[0\]\[1\]: expected a rational, got a boolean$"),
+            (lambda: parse_rational(["1"], "nodes[0][0]"), SchemaError,
+             r"nodes\[0\]\[0\]: expected a rational string, got list$"),
+            (lambda: format_rational(F(10**5000, 3), "L"), ResourceLimitError,
+             r"L: the exact rational has more digits than Python prints"),
+            (lambda: PLHomeo(()), DomainError, r"a PL map needs at least one node$"),
+            (lambda: Word((("a", 1), ("b", 2))), DomainError,
+             r"letter exponent must be \+-1, got 2$"),
+            (lambda: GeneratorSet("x", ()), DomainError, r"generator set must be nonempty$"),
+            (lambda: GeneratorSet.from_json(json.dumps({"generators": [
+                {"label": "a", "map": {"nodes": [["0", "1"]]}},
+                {"label": ["b"], "map": {"nodes": [["0", "2"]]}},
+            ]})), SchemaError, r"generator_set\.generators\[1\]\.label: 'label' must be a string$"),
+            (lambda: ActionSequence((), ()), DomainError,
+             r"an action sequence needs at least one stage$"),
+            (lambda: phi_branch_table(1, "0.5", "0.1"), DomainError,
+             r"grid end 0\.5 below start 1\.0$"),
+            (lambda: phi_inv_branch_table("0.5", 2, "0.1"), DomainError,
+             r"phi_inv grid must stay inside \[1, oo\)$"),
+        ],
+        ids=[
+            "step_value_not_finite", "step_one_breakpoint", "step_value_count",
+            "step_breakpoints_not_increasing", "normalize_zero", "rational_bool",
+            "rational_list", "format_rational_digits", "plhomeo_no_nodes",
+            "letter_exponent", "generator_set_empty", "label_not_string",
+            "action_sequence_no_stages", "phi_table_end_below_start", "phi_inv_grid_below_1",
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            call()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import fone, fzero
 
 from kazhlip import (
     DomainError,
@@ -355,7 +356,8 @@ def closed_form_distortion(g, n, p):
     (2n d^p / 2n)^{1/p}, as the bound report's cells take it."""
     n = F(n)
     wm = WindowMap.of(g)
-    power = mpmath.mp.make_mpf(wm.at(to_real(p)).scaled_power(wm.cut(n)))
+    (power,) = wm.row(to_real(p), [wm.cut(n)])
+    power = mpmath.mp.make_mpf(power)
     return (power / to_real(2 * n)) ** (1 / mpf(p))
 
 
@@ -407,12 +409,13 @@ class TestWindowDistortion:
         g = PLHomeo.from_pairs([(-4, -3), (0, 2), (3, 3)])
         wm = WindowMap.of(g)
         assert wm.n0 == 4
+        # from N0 on a window has no cut, and its row entry is K
+        cuts = [wm.cut(wm.n0 * k) for k in (1, F(3, 2), 2, 1000)]
+        assert cuts == [None] * 4 and wm.cut(wm.n0 * F(99, 100)) is not None
         for p in (2, 3, 16, 64):
-            profile = wm.at(to_real(p))
-            values = {profile.scaled_power(wm.cut(wm.n0 * k)) for k in (1, F(3, 2), 2, 1000)}
-            assert values == {profile.constant}
+            (constant,) = set(wm.row(to_real(p), cuts))
             oracle = 2 * wm.n0 * koopman_distortion(g, window_vector(wm.n0, p), p) ** p
-            assert abs(mpmath.mp.make_mpf(profile.constant) - oracle) <= ORACLE_REL * oracle
+            assert abs(mpmath.mp.make_mpf(constant) - oracle) <= ORACLE_REL * oracle
 
     def test_int_nodes_exact(self):
         # Nodes given as plain ints give the window data of the same Fractions.
@@ -426,10 +429,12 @@ class TestWindowDistortion:
                 assert closed_form_distortion(raw, n, p) == closed_form_distortion(frac, n, p)
 
     def test_weights_keep_the_digits_of_pow(self):
-        # `at` and `scaled_power` run on raw libmp values; they must give the
-        # bits of the mpf loops in the oracles. The weights come from log s_j
-        # taken once per map, and must equal |s^{1/p} - 1|^p as mpf **
-        # computes it. p = 2.5 takes mpf_pow rather than mpf_pow_int.
+        # `row` runs on raw libmp values; it must give the bits of the mpf
+        # loops in the oracles. The weights come from log s_j taken once per
+        # map, and must equal |s^{1/p} - 1|^p as mpf ** computes it. p = 2.5
+        # takes mpf_pow rather than mpf_pow_int. A cut is a plain triple, so
+        # a cut of one whole piece, or of a length 1 in one piece, with an
+        # exact part of zero reads that piece's mass or weight alone.
         rng = random.Random(11)
         maps = [random_plhomeo(rng, max_nodes=10) for _ in range(40)]
         # g^{-1} has slope 111/10, 82/47 or 187/35 on one piece: for these,
@@ -442,20 +447,24 @@ class TestWindowDistortion:
                     wm = WindowMap.of(g)
                     inv_slopes = oracles.piece_slopes(tuple((y, x) for x, y in g.nodes))
                     cuts = [wm.cut(wm.n0 * k) for k in (F(1, 5), F(1, 2), F(9, 10), 1)]
-                    for p in (1, 2, mpf("2.5"), 3, 16, 64):
+                    pieces = range(len(wm.lengths))
+                    mass_cuts = [(fzero, range(j, j + 1), ()) for j in pieces]
+                    weight_cuts = [(fzero, range(0), ((j, fone),)) for j in pieces]
+                    for p in (2, mpf("2.5"), 3, 16, 64):
                         pr = to_real(p)
-                        got, want = wm.at(pr), oracles.window_profile(wm, p)
+                        got = wm.row(pr, [None, *mass_cuts, *weight_cuts, *cuts])
+                        want = oracles.window_profile(wm, p)
                         pow_weights = tuple(
                             abs(to_real(s) ** (1 / pr) - 1) ** pr for s in inv_slopes
                         )
                         case = (g.nodes, digits, p)
                         assert want[0] == pow_weights, case
-                        assert got.weights == tuple(w._mpf_ for w in want[0]), case
-                        assert got.masses == tuple(m._mpf_ for m in want[1]), case
-                        assert got.constant == want[2]._mpf_, case
-                        for c in cuts:
-                            assert (got.scaled_power(c)
-                                    == oracles.scaled_power(want, c)._mpf_), (case, c)
+                        k = len(pieces)
+                        assert got[0] == want[2]._mpf_, case
+                        assert got[1 : k + 1] == tuple(m._mpf_ for m in want[1]), case
+                        assert got[k + 1 : 2 * k + 1] == tuple(w._mpf_ for w in want[0]), case
+                        for c, power in zip(cuts, got[2 * k + 1 :], strict=True):
+                            assert power == oracles.scaled_power(want, c)._mpf_, (case, c)
 
     def test_window_data_at_high_precision(self):
         # Window data built and used under one precision carries all of it.
@@ -517,16 +526,19 @@ class TestWindowCut:
         # adds a piece, or cuts a full one short.
         kind, wm, n = case
         got, want = wm.cut(n), oracles.window_cut(wm, n)
-        assert got.covers_nodes == want.covers_nodes
-        assert got.exact == want.exact
-        assert list(got.full) == list(want.full)
-        assert got.partial == want.partial
+        assert (got is None) == (want is None)
+        if kind == "past n0":
+            assert want is None
+        if want is None:
+            return
+        (exact, full, partial), (want_exact, want_full, want_partial) = got, want
+        assert exact == want_exact
+        assert list(full) == list(want_full)
+        assert partial == want_partial
         if kind == "inside one piece":
-            assert not want.full and len(want.partial) == 1
+            assert not want_full and len(want_partial) == 1
         elif kind == "disjoint":
-            assert want.exact == to_real(4 * n)._mpf_ and not want.partial
-        elif kind == "past n0":
-            assert want.covers_nodes
+            assert want_exact == to_real(4 * n)._mpf_ and not want_partial
 
     @settings(max_examples=100, deadline=None)
     @given(window_cut_cases())
